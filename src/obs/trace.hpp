@@ -83,8 +83,9 @@ enum class stage : std::uint8_t {
   origin_fetch,    // fallthrough to the origin server
   nkp_render,      // Na Kika pipeline-composition rendering
   gc,              // script-heap cycle collection (watermark + pool-return)
+  advertise,       // overlay store announcing a freshly cached copy
 };
-inline constexpr std::size_t stage_count = 10;
+inline constexpr std::size_t stage_count = 11;
 
 [[nodiscard]] inline const char* to_string(stage s) {
   switch (s) {
@@ -98,6 +99,7 @@ inline constexpr std::size_t stage_count = 10;
     case stage::origin_fetch: return "origin_fetch";
     case stage::nkp_render: return "nkp_render";
     case stage::gc: return "gc";
+    case stage::advertise: return "advertise";
   }
   return "unknown";
 }

@@ -21,9 +21,8 @@ sloppy_dht::~sloppy_dht() {
   domain.flush();
 }
 
-void sloppy_dht::mark_store_mutated(member& m) {
-  m.dirty = true;
-  version_.fetch_add(1, std::memory_order_release);
+sloppy_dht::member_store::~member_store() {
+  for (auto& b : buckets) delete b.load(std::memory_order_relaxed);
 }
 
 const sloppy_dht::ring_snapshot* sloppy_dht::refresh_snapshot_locked() {
@@ -35,18 +34,9 @@ const sloppy_dht::ring_snapshot* sloppy_dht::refresh_snapshot_locked() {
   auto* fresh = new ring_snapshot;
   fresh->version = v;
   fresh->members.reserve(members_.size());
-  for (auto& m : members_) {
-    if (m.dirty || m.snap == nullptr) {
-      auto sm = std::make_shared<snap_member>();
-      sm->alive = m.alive;
-      sm->self = m.self;
-      sm->host = m.host;
-      sm->contacts = m.table->all_contacts();
-      sm->store = m.store;
-      m.snap = std::move(sm);
-      m.dirty = false;
-    }
-    fresh->members.push_back(m.snap);
+  for (const auto& m : members_) {
+    fresh->members.push_back(
+        snap_member{m.alive, m.self, m.host, m.table->all_contacts(), m.store.get()});
   }
   const ring_snapshot* old = snap_.exchange(fresh, std::memory_order_acq_rel);
   if (old != nullptr) {
@@ -59,15 +49,14 @@ const sloppy_dht::ring_snapshot* sloppy_dht::refresh_snapshot_locked() {
 
 std::size_t sloppy_dht::find_in_snapshot(const ring_snapshot& snap, const node_id& id) {
   for (std::size_t i = 0; i < snap.members.size(); ++i) {
-    if (snap.members[i]->alive && snap.members[i]->self.id == id) return i;
+    if (snap.members[i].alive && snap.members[i].self.id == id) return i;
   }
   return static_cast<std::size_t>(-1);
 }
 
-bool sloppy_dht::holder_dead_in(const ring_snapshot& snap, const std::string& value) {
-  const node_id id = node_id::hash_of(value);
+bool sloppy_dht::holder_dead_in(const ring_snapshot& snap, const node_id& holder) {
   for (const auto& m : snap.members) {
-    if (m->self.id == id) return !m->alive;
+    if (m.self.id == holder) return !m.alive;
   }
   return false;  // not a member name: nothing to judge, keep the value
 }
@@ -116,12 +105,11 @@ sloppy_dht::member_id sloppy_dht::join(sim::node_id host, const std::string& nam
     for (std::size_t i = 0; i < members_.size() - 1 && told < 3; ++i) {
       if (!members_[i].alive) continue;
       members_[i].table->observe(members_[id].self);
-      mark_routing_mutated(members_[i]);
       ++told;
     }
     lone = members_.size() == 1;
     // New member ⇒ snapshot indices shift; force readers to rebuild.
-    version_.fetch_add(1, std::memory_order_release);
+    bump_version();
   }
 
   // Iterative self-lookup fills more distant buckets. Runs outside the ring
@@ -137,8 +125,8 @@ void sloppy_dht::leave(member_id m) {
   std::lock_guard<std::mutex> lock(mu_);
   if (m >= members_.size()) throw std::invalid_argument("sloppy_dht::leave: bad member");
   members_[m].alive = false;
-  members_[m].store.clear();
-  mark_store_mutated(members_[m]);
+  clear_store(*members_[m].store);
+  bump_version();
 }
 
 void sloppy_dht::revive(member_id m) {
@@ -155,37 +143,15 @@ void sloppy_dht::revive(member_id m) {
     if (i == m || !members_[i].alive) continue;
     self.table->observe(members_[i].self);
     members_[i].table->observe(self.self);
-    mark_routing_mutated(members_[i]);
     ++seeds;
   }
-  mark_store_mutated(self);  // liveness flipped: readers must see it
+  bump_version();  // liveness flipped: readers must see it
 }
 
 void sloppy_dht::purge_store(member_id m) {
   std::lock_guard<std::mutex> lock(mu_);
   if (m >= members_.size()) throw std::invalid_argument("sloppy_dht::purge_store: bad member");
-  members_[m].store.clear();
-  mark_store_mutated(members_[m]);
-}
-
-bool sloppy_dht::holder_is_dead(const std::string& value) const {
-  const node_id id = node_id::hash_of(value);
-  for (const auto& m : members_) {
-    if (m.self.id == id) return !m.alive;
-  }
-  return false;  // not a member name: nothing to judge, keep the value
-}
-
-void sloppy_dht::drop_dangling(member& m, const std::string& key) {
-  const auto it = m.store.find(key);
-  if (it == m.store.end()) return;
-  auto& values = it->second;
-  const std::size_t before = values.size();
-  values.erase(std::remove_if(values.begin(), values.end(),
-                              [&](const stored_value& sv) { return holder_is_dead(sv.value); }),
-               values.end());
-  if (values.size() != before) mark_store_mutated(m);
-  if (values.empty()) m.store.erase(it);
+  clear_store(*members_[m].store);
 }
 
 std::size_t sloppy_dht::member_count() const {
@@ -210,9 +176,9 @@ std::vector<std::string> sloppy_dht::stored_at(member_id m, const std::string& k
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   if (m >= members_.size()) return out;
-  const auto it = members_[m].store.find(key);
-  if (it == members_[m].store.end()) return out;
-  for (const auto& sv : it->second) {
+  const auto* values = find_values(*members_[m].store, key);
+  if (values == nullptr) return out;
+  for (const auto& sv : *values) {
     if (sv.expires_at > now) out.push_back(sv.value);
   }
   return out;
@@ -221,7 +187,12 @@ std::vector<std::string> sloppy_dht::stored_at(member_id m, const std::string& k
 std::size_t sloppy_dht::stored_keys(member_id m) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (m >= members_.size()) return 0;
-  return members_[m].store.size();
+  std::size_t keys = 0;
+  for (const auto& b : members_[m].store->buckets) {
+    const bucket_map* map = b.load(std::memory_order_relaxed);
+    if (map != nullptr) keys += map->size();
+  }
+  return keys;
 }
 
 sloppy_dht::member* sloppy_dht::find_member(const node_id& id) {
@@ -239,42 +210,95 @@ double sloppy_dht::rpc_cost(sim::node_id from, sim::node_id to) const {
   return 2.0 * net_.route_latency_or(from, to, 0.0) + config_.rpc_cpu_seconds;
 }
 
-// ----- store hygiene -----------------------------------------------------------
+void sloppy_dht::observe(member& m, const contact& c) {
+  if (m.table->observe(c)) bump_version();
+}
+
+void sloppy_dht::forget(member& m, const node_id& id) {
+  if (m.table->remove(id)) bump_version();
+}
+
+// ----- bucketed store ------------------------------------------------------------
+
+std::size_t sloppy_dht::bucket_of(const std::string& key) {
+  return std::hash<std::string>{}(key) % k_store_buckets;
+}
+
+const std::vector<sloppy_dht::stored_value>* sloppy_dht::find_values(const member_store& s,
+                                                                     const std::string& key) {
+  const bucket_map* b = s.buckets[bucket_of(key)].load(std::memory_order_acquire);
+  if (b == nullptr) return nullptr;
+  const auto it = b->find(key);
+  return it == b->end() ? nullptr : &it->second;
+}
+
+std::unique_ptr<sloppy_dht::bucket_map> sloppy_dht::copy_bucket(const member_store& s,
+                                                                std::size_t b) {
+  const bucket_map* cur = s.buckets[b].load(std::memory_order_relaxed);
+  return cur != nullptr ? std::make_unique<bucket_map>(*cur) : std::make_unique<bucket_map>();
+}
+
+void sloppy_dht::publish(member_store& s, std::size_t b, std::unique_ptr<bucket_map> fresh) {
+  const bucket_map* next = fresh == nullptr || fresh->empty() ? nullptr : fresh.release();
+  const bucket_map* old = s.buckets[b].exchange(next, std::memory_order_acq_rel);
+  if (old != nullptr) {
+    // Readers may still be walking the old copy; free it once their epoch
+    // has passed.
+    util::ebr_domain::instance().retire(const_cast<bucket_map*>(old), [](void* p) {
+      delete static_cast<bucket_map*>(p);
+    });
+  }
+}
+
+void sloppy_dht::clear_store(member_store& s) {
+  for (std::size_t b = 0; b < k_store_buckets; ++b) publish(s, b, nullptr);
+}
+
+template <class Pred>
+void sloppy_dht::drop_values(member& m, const std::string& key, Pred pred) {
+  const auto* values = find_values(*m.store, key);
+  if (values == nullptr || std::none_of(values->begin(), values->end(), pred)) return;
+  const std::size_t b = bucket_of(key);
+  auto fresh = copy_bucket(*m.store, b);
+  const auto it = fresh->find(key);
+  std::erase_if(it->second, pred);
+  if (it->second.empty()) fresh->erase(it);
+  publish(*m.store, b, std::move(fresh));
+}
 
 void sloppy_dht::prune_expired(member& m, const std::string& key, std::int64_t now) {
-  const auto it = m.store.find(key);
-  if (it == m.store.end()) return;
-  auto& values = it->second;
-  const std::size_t before = values.size();
-  values.erase(std::remove_if(values.begin(), values.end(),
-                              [&](const stored_value& sv) { return sv.expires_at <= now; }),
-               values.end());
-  if (values.size() != before) mark_store_mutated(m);
-  if (values.empty()) m.store.erase(it);
+  drop_values(m, key, [now](const stored_value& sv) { return sv.expires_at <= now; });
+}
+
+void sloppy_dht::scrub_key(member& m, const std::string& key, std::int64_t now) {
+  drop_values(m, key, [this, now](const stored_value& sv) {
+    return sv.expires_at <= now || holder_is_dead(sv.holder);
+  });
+}
+
+bool sloppy_dht::holder_is_dead(const node_id& holder) const {
+  for (const auto& m : members_) {
+    if (m.self.id == holder) return !m.alive;
+  }
+  return false;  // not a member name: nothing to judge, keep the value
 }
 
 void sloppy_dht::sweep_member(member& m, std::int64_t now) {
-  const std::size_t keys_before = m.store.size();
-  std::size_t values_dropped = 0;
-  for (auto it = m.store.begin(); it != m.store.end();) {
-    auto& values = it->second;
-    const std::size_t before = values.size();
-    values.erase(
-        std::remove_if(values.begin(), values.end(),
-                       [&](const stored_value& sv) { return sv.expires_at <= now; }),
-        values.end());
-    // Defensive bound (a shrunk max_values_per_key must still converge):
-    // drop the soonest-to-expire extras.
-    while (values.size() > config_.max_values_per_key) {
-      values.erase(std::min_element(values.begin(), values.end(),
-                                    [](const stored_value& a, const stored_value& b) {
-                                      return a.expires_at < b.expires_at;
-                                    }));
+  const auto expired = [now](const stored_value& sv) { return sv.expires_at <= now; };
+  for (std::size_t b = 0; b < k_store_buckets; ++b) {
+    const bucket_map* cur = m.store->buckets[b].load(std::memory_order_relaxed);
+    if (cur == nullptr) continue;
+    const bool stale = std::any_of(cur->begin(), cur->end(), [&](const auto& entry) {
+      return std::any_of(entry.second.begin(), entry.second.end(), expired);
+    });
+    if (!stale) continue;
+    auto fresh = copy_bucket(*m.store, b);
+    for (auto it = fresh->begin(); it != fresh->end();) {
+      std::erase_if(it->second, expired);
+      it = it->second.empty() ? fresh->erase(it) : std::next(it);
     }
-    values_dropped += before - values.size();
-    it = values.empty() ? m.store.erase(it) : std::next(it);
+    publish(*m.store, b, std::move(fresh));
   }
-  if (values_dropped != 0 || m.store.size() != keys_before) mark_store_mutated(m);
 }
 
 void sloppy_dht::touch_for_sweep(member& m, std::int64_t now) {
@@ -286,27 +310,35 @@ void sloppy_dht::touch_for_sweep(member& m, std::int64_t now) {
 
 void sloppy_dht::store_value(member& m, const std::string& key, const std::string& value,
                              std::int64_t expires_at, std::int64_t now) {
-  prune_expired(m, key, now);
   touch_for_sweep(m, now);
-  mark_store_mutated(m);
-  auto& values = m.store[key];
-  // Refresh an existing copy of the same value.
-  for (auto& sv : values) {
-    if (sv.value == value) {
-      sv.expires_at = std::max(sv.expires_at, expires_at);
-      return;
-    }
+  const auto expired = [now](const stored_value& sv) { return sv.expires_at <= now; };
+  if (const auto* held = find_values(*m.store, key);
+      held != nullptr && std::none_of(held->begin(), held->end(), expired) &&
+      std::any_of(held->begin(), held->end(), [&](const stored_value& sv) {
+        return sv.value == value && sv.expires_at >= expires_at;
+      })) {
+    return;  // a live copy already outlasts this one: nothing would change
   }
-  if (values.size() >= config_.max_values_per_key) {
+  const std::size_t b = bucket_of(key);
+  auto fresh = copy_bucket(*m.store, b);
+  auto& values = (*fresh)[key];
+  std::erase_if(values, expired);
+  const auto same = std::find_if(values.begin(), values.end(),
+                                 [&](const stored_value& sv) { return sv.value == value; });
+  if (same != values.end()) {
+    // Refresh an existing copy of the same value.
+    same->expires_at = std::max(same->expires_at, expires_at);
+  } else if (values.size() >= config_.max_values_per_key) {
     // Displace the soonest-to-expire value.
     auto oldest = std::min_element(values.begin(), values.end(),
                                    [](const stored_value& a, const stored_value& b) {
                                      return a.expires_at < b.expires_at;
                                    });
-    *oldest = {value, expires_at};
-    return;
+    *oldest = {value, expires_at, node_id::hash_of(value)};
+  } else {
+    values.push_back({value, expires_at, node_id::hash_of(value)});
   }
-  values.push_back({value, expires_at});
+  publish(*m.store, b, std::move(fresh));
 }
 
 void sloppy_dht::purge_expired(std::int64_t now) {
@@ -331,8 +363,7 @@ void sloppy_dht::rpc(member_id from, const contact& to, std::function<void(membe
       return;
     }
     // The target hears from the caller and refreshes its routing table.
-    target->table->observe(members_[from].self);
-    mark_routing_mutated(*target);
+    observe(*target, members_[from].self);
     net_.run_cpu(to.host, config_.rpc_cpu_seconds, [this, to, from_host,
                                                     handler = std::move(handler)]() {
       member* target_now = find_member(to.id);
@@ -386,13 +417,11 @@ void sloppy_dht::lookup_step(const std::shared_ptr<lookup_state>& state) {
         // Get-style lookups return early when the contacted node holds
         // values for the key (Coral answers from the lookup path).
         if (state->is_get && !state->key.empty()) {
-          prune_expired(*m, state->key, now_seconds());
-          drop_dangling(*m, state->key);
-          const auto it = m->store.find(state->key);
-          if (it != m->store.end() && !it->second.empty()) {
+          scrub_key(*m, state->key, now_seconds());
+          if (const auto* held = find_values(*m->store, state->key); held != nullptr) {
             state->finished = true;
             std::vector<std::string> values;
-            for (const auto& sv : it->second) values.push_back(sv.value);
+            for (const auto& sv : *held) values.push_back(sv.value);
             state->done_values(std::move(values), state->hops);
             return;
           }
@@ -404,9 +433,8 @@ void sloppy_dht::lookup_step(const std::shared_ptr<lookup_state>& state) {
           const bool known = std::any_of(state->shortlist.begin(), state->shortlist.end(),
                                          [&](const contact& s) { return s.id == c.id; });
           if (!known) state->shortlist.push_back(c);
-          members_[state->via].table->observe(c);
+          observe(members_[state->via], c);
         }
-        mark_routing_mutated(members_[state->via]);
         std::sort(state->shortlist.begin(), state->shortlist.end(),
                   [&](const contact& a, const contact& b) {
                     return a.id.distance_to(state->target) < b.id.distance_to(state->target);
@@ -417,8 +445,7 @@ void sloppy_dht::lookup_step(const std::shared_ptr<lookup_state>& state) {
         lookup_step(state);
       },
       [this, state, to]() {
-        members_[state->via].table->remove(to.id);
-        mark_routing_mutated(members_[state->via]);
+        forget(members_[state->via], to.id);
         lookup_step(state);
       });
 }
@@ -439,8 +466,8 @@ void sloppy_dht::put(member_id via, const std::string& key, const std::string& v
       member* m = find_member(c.id);
       if (m == nullptr) continue;
       prune_expired(*m, key, now_seconds());
-      const auto it = m->store.find(key);
-      const std::size_t held = it == m->store.end() ? 0 : it->second.size();
+      const auto* values = find_values(*m->store, key);
+      const std::size_t held = values == nullptr ? 0 : values->size();
       if (held < config_.spill_threshold) {
         chosen = m;
         break;
@@ -471,12 +498,10 @@ void sloppy_dht::get(member_id via, const std::string& key,
   }
   // Local store first: zero hops.
   touch_for_sweep(members_[via], now_seconds());
-  prune_expired(members_[via], key, now_seconds());
-  drop_dangling(members_[via], key);
-  const auto it = members_[via].store.find(key);
-  if (it != members_[via].store.end() && !it->second.empty()) {
+  scrub_key(members_[via], key, now_seconds());
+  if (const auto* held = find_values(*members_[via].store, key); held != nullptr) {
     std::vector<std::string> values;
-    for (const auto& sv : it->second) values.push_back(sv.value);
+    for (const auto& sv : *held) values.push_back(sv.value);
     net_.loop().schedule(0.0, [done = std::move(done), values = std::move(values)]() mutable {
       done(std::move(values), 0);
     });
@@ -497,12 +522,10 @@ void sloppy_dht::get(member_id via, const std::string& key,
 
 // ----- synchronous path (thread-safe) ------------------------------------------
 
-void sloppy_dht::walk_now(member& via, const std::string& key, std::int64_t now,
-                          bool collect_values, sync_result& out,
-                          std::vector<contact>& path) {
-  const node_id target = node_id::hash_of(key);
+int sloppy_dht::walk_now(member& via, const node_id& target, std::vector<contact>& path) {
   path = via.table->closest(target, config_.k);
   std::set<node_id> queried{via.self.id};
+  int hops = 0;
   int budget = static_cast<int>(config_.k) * 3;
 
   while (budget-- > 0) {
@@ -516,58 +539,45 @@ void sloppy_dht::walk_now(member& via, const std::string& key, std::int64_t now,
     if (next == nullptr) break;
     const contact to = *next;
     queried.insert(to.id);
-    ++out.hops;
-    out.latency_seconds += rpc_cost(via.host, to.host);
+    ++hops;
 
     member* m = find_member(to.id);
     if (m == nullptr) {
-      via.table->remove(to.id);
-      mark_routing_mutated(via);
+      forget(via, to.id);
       continue;
     }
-    m->table->observe(via.self);
-    mark_routing_mutated(*m);
-    if (collect_values) {
-      prune_expired(*m, key, now);
-      drop_dangling(*m, key);
-      touch_for_sweep(*m, now);
-      const auto it = m->store.find(key);
-      if (it != m->store.end() && !it->second.empty()) {
-        for (const auto& sv : it->second) out.values.push_back(sv.value);
-        return;
-      }
-    }
+    observe(*m, via.self);
     std::vector<contact> more = m->table->closest(target, config_.k);
     more.push_back(m->self);
     for (const auto& c : more) {
       const bool known = std::any_of(path.begin(), path.end(),
                                      [&](const contact& s) { return s.id == c.id; });
       if (!known) path.push_back(c);
-      via.table->observe(c);
+      observe(via, c);
     }
-    mark_routing_mutated(via);
     std::sort(path.begin(), path.end(), [&](const contact& a, const contact& b) {
       return a.id.distance_to(target) < b.id.distance_to(target);
     });
     if (path.size() > config_.k * 2) path.resize(config_.k * 2);
   }
+  return hops;
 }
 
 void sloppy_dht::walk_snapshot(const ring_snapshot& snap, std::size_t via_index,
                                const std::string& key, std::int64_t now, sync_result& out,
                                std::vector<std::size_t>& scrub) const {
-  // Collection filters what the locked path scrubbed physically: expired
-  // values by TTL, dangling holders by snapshot liveness. The snapshot
-  // stores stay untouched; members that held filtered values are reported
+  // Collection filters what the locked path scrubs physically: expired
+  // values by TTL, dangling holders by snapshot liveness. The published
+  // buckets stay untouched; members that held filtered values are reported
   // via `scrub` so the caller drops them for real under the ring mutex.
-  const snap_member& via = *snap.members[via_index];
+  const snap_member& via = snap.members[via_index];
   const auto collect = [&](const snap_member& m, std::size_t index) {
-    const auto it = m.store.find(key);
-    if (it == m.store.end()) return false;
+    const auto* values = find_values(*m.store, key);
+    if (values == nullptr) return false;
     bool any = false;
     bool filtered = false;
-    for (const auto& sv : it->second) {
-      if (sv.expires_at <= now || holder_dead_in(snap, sv.value)) {
+    for (const auto& sv : *values) {
+      if (sv.expires_at <= now || holder_dead_in(snap, sv.holder)) {
         filtered = true;
         continue;
       }
@@ -605,7 +615,7 @@ void sloppy_dht::walk_snapshot(const ring_snapshot& snap, std::size_t via_index,
 
     const std::size_t mi = find_in_snapshot(snap, to.id);
     if (mi == static_cast<std::size_t>(-1)) continue;  // dead or unknown
-    const snap_member* m = snap.members[mi].get();
+    const snap_member* m = &snap.members[mi];
     if (collect(*m, mi)) return;
     std::vector<contact> more = m->contacts;
     std::sort(more.begin(), more.end(), by_distance);
@@ -624,8 +634,9 @@ void sloppy_dht::walk_snapshot(const ring_snapshot& snap, std::size_t via_index,
 sloppy_dht::sync_result sloppy_dht::get_now(member_id via, const std::string& key,
                                             std::int64_t now) {
   // Lock-free fast path: pin the epoch, read the published snapshot, walk
-  // it. Only a reader that finds the snapshot stale (some mutation bumped
-  // the version since the last rebuild) touches the ring mutex.
+  // it over the live store buckets. Only a reader that finds the snapshot
+  // stale (a membership or contact change since the last rebuild) touches
+  // the ring mutex.
   util::ebr_domain::guard g;
   const ring_snapshot* snap = snap_.load(std::memory_order_acquire);
   if (snap == nullptr || snap->version != version_.load(std::memory_order_acquire)) {
@@ -637,7 +648,7 @@ sloppy_dht::sync_result sloppy_dht::get_now(member_id via, const std::string& ke
   } else {
     read_fastpath_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (via >= snap->members.size() || !snap->members[via]->alive) {
+  if (via >= snap->members.size() || !snap->members[via].alive) {
     throw std::invalid_argument("sloppy_dht::get_now: bad member");
   }
   sync_result out;
@@ -645,13 +656,10 @@ sloppy_dht::sync_result sloppy_dht::get_now(member_id via, const std::string& ke
   walk_snapshot(*snap, via, key, now, out, scrub);
   if (!scrub.empty()) {
     // The walk saw expired or dangling values — drop them physically, as the
-    // locked lookup used to. Liveness/TTL are re-judged against current
+    // event-driven lookup does. Liveness/TTL are re-judged against current
     // state under the lock, so a holder revived since the snapshot is kept.
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::size_t idx : scrub) {
-      prune_expired(members_[idx], key, now);
-      drop_dangling(members_[idx], key);
-    }
+    for (const std::size_t idx : scrub) scrub_key(members_[idx], key, now);
   }
   return out;
 }
@@ -663,9 +671,8 @@ int sloppy_dht::put_now(member_id via, const std::string& key, const std::string
     throw std::invalid_argument("sloppy_dht::put_now: bad member");
   }
   member& origin = members_[via];
-  sync_result walk;
   std::vector<contact> path;
-  walk_now(origin, key, now, /*collect_values=*/false, walk, path);
+  const int hops = walk_now(origin, node_id::hash_of(key), path);
 
   // Same sloppy-store placement as the event-driven put.
   member* chosen = nullptr;
@@ -673,8 +680,8 @@ int sloppy_dht::put_now(member_id via, const std::string& key, const std::string
     member* m = find_member(c.id);
     if (m == nullptr) continue;
     prune_expired(*m, key, now);
-    const auto held_it = m->store.find(key);
-    const std::size_t held = held_it == m->store.end() ? 0 : held_it->second.size();
+    const auto* values = find_values(*m->store, key);
+    const std::size_t held = values == nullptr ? 0 : values->size();
     if (held < config_.spill_threshold) {
       chosen = m;
       break;
@@ -683,7 +690,7 @@ int sloppy_dht::put_now(member_id via, const std::string& key, const std::string
   }
   if (chosen == nullptr) chosen = &origin;  // degenerate ring: store locally
   store_value(*chosen, key, value, expires_at, now);
-  return walk.hops + 1;
+  return hops + 1;
 }
 
 }  // namespace nakika::overlay

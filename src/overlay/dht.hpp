@@ -9,22 +9,30 @@
 //     so lookups cost real virtual-time hops. It is the deterministic
 //     single-threaded sim path and must only be used from the event loop.
 //   - The synchronous API (put_now/get_now) performs the same iterative
-//     Kademlia walk inline under the ring mutex, for callers on concurrent
-//     worker threads (the threaded peer transport). It never touches the
-//     event loop; the virtual network cost the sim would have charged is
-//     returned as accounted latency instead.
-// Writers (put_now, leave/revive/purge, the event-driven path) are guarded
-// by one ring mutex; get_now reads an immutable epoch-protected snapshot of
-// the ring (liveness, flattened routing contacts, stores) and takes NO lock
-// in steady state. Every mutation bumps a version counter; the first reader
-// to observe a stale snapshot rebuilds it under the mutex (per-member
-// copy-on-write — clean members share their previous immutable copy) and
-// publishes it, retiring the old snapshot behind util::ebr so concurrent
-// readers finish safely. join is setup-time only: its bootstrap self-lookup
-// is event-driven sim traffic, so complete every join before concurrent
-// serving starts.
+//     Kademlia walk inline, for callers on concurrent worker threads (the
+//     threaded peer transport). It never touches the event loop; the virtual
+//     network cost the sim would have charged is returned as accounted
+//     latency instead.
+//
+// Concurrency. Writers (put_now, leave/revive/purge, sweeps, scrubs) hold one
+// ring mutex; get_now takes NO lock in steady state. Two published
+// structures serve it, both read under a util::ebr guard:
+//   - Each member's store is a fixed array of k_store_buckets hash buckets.
+//     A bucket is an immutable key -> values map behind an atomic pointer. A
+//     store write copies only its key's bucket, publishes the copy with a
+//     release store and retires the old copy behind the epoch, so a write
+//     costs O(keys / k_store_buckets) and a get_now that starts after a
+//     put_now returned sees the value.
+//   - The ring snapshot holds liveness, identity and flattened routing
+//     contacts. Only join/leave/revive and a routing change that adds or
+//     removes a contact bump its version; the first reader to see a stale
+//     version rebuilds it under the mutex. Store writes and contact
+//     refreshes never do, so reads stay on the fast path between puts.
+// join is setup-time only: its bootstrap self-lookup is event-driven sim
+// traffic, so complete every join before concurrent serving starts.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -96,12 +104,13 @@ class sloppy_dht {
     double latency_seconds = 0.0;
   };
 
-  // The iterative walk of get/put performed inline under the ring mutex.
+  // The iterative walk of get performed inline, lock-free in steady state.
   // `now` is the caller's epoch (worker mode runs on wall-clock epochs, not
   // event-loop time, so the clock is explicit here).
   [[nodiscard]] sync_result get_now(member_id via, const std::string& key,
                                     std::int64_t now);
-  // Returns the hop count of the store walk.
+  // The walk and sloppy store of put, inline under the ring mutex. Returns
+  // the hop count of the store walk.
   int put_now(member_id via, const std::string& key, const std::string& value,
               std::int64_t expires_at, std::int64_t now);
 
@@ -119,9 +128,10 @@ class sloppy_dht {
   [[nodiscard]] sim::network& net() { return net_; }
 
   // Read-side accounting for the lock-free get_now (the zero-read-lock
-  // assertion test rides on these): fastpath = served entirely from the
-  // published snapshot; slowpath = the snapshot was stale (a mutation since
-  // the last read) and the reader took the ring mutex to rebuild it.
+  // assertion tests ride on these): fastpath = the published ring snapshot
+  // was current; slowpath = a membership or contact change made it stale and
+  // the reader took the ring mutex to rebuild it. Store writes never force
+  // a slowpath read.
   [[nodiscard]] std::uint64_t read_fastpath() const {
     return read_fastpath_.load(std::memory_order_relaxed);
   }
@@ -133,32 +143,43 @@ class sloppy_dht {
   struct stored_value {
     std::string value;
     std::int64_t expires_at;
+    node_id holder;  // hash_of(value): the member the value names, if any
   };
-  // Immutable per-member copy published to readers: liveness, identity, the
-  // routing table flattened to a contact list, and the store. Shared between
-  // successive snapshots while the member is untouched (copy-on-write).
+  // One immutable store bucket. Published buckets are never modified; a
+  // writer replaces the whole bucket (copy-on-write).
+  using bucket_map = std::map<std::string, std::vector<stored_value>>;
+  // A write copies ~keys/256 entries: about ten at the few thousand keys a
+  // busy member holds, for 2 KB of bucket pointers per member.
+  static constexpr std::size_t k_store_buckets = 256;
+  // A member's store: a null bucket is empty. Heap-allocated per member so
+  // its address survives members_ reallocating on join.
+  struct member_store {
+    std::array<std::atomic<const bucket_map*>, k_store_buckets> buckets{};
+    member_store() = default;
+    member_store(const member_store&) = delete;
+    member_store& operator=(const member_store&) = delete;
+    ~member_store();
+  };
+  // Immutable per-member view published to readers. The store is reached
+  // through its live bucket pointers, not copied.
   struct snap_member {
     bool alive = true;
     contact self;
     sim::node_id host = 0;
     std::vector<contact> contacts;
-    std::map<std::string, std::vector<stored_value>> store;
+    const member_store* store = nullptr;
   };
   struct ring_snapshot {
     std::uint64_t version = 0;
-    std::vector<std::shared_ptr<const snap_member>> members;
+    std::vector<snap_member> members;
   };
   struct member {
     bool alive = true;
     contact self;
     sim::node_id host = 0;
     std::unique_ptr<routing_table> table;
-    std::map<std::string, std::vector<stored_value>> store;
+    std::unique_ptr<member_store> store = std::make_unique<member_store>();
     std::size_t ops_since_sweep = 0;
-    // Snapshot bookkeeping: dirty means the published copy (snap) no longer
-    // matches this member and must be re-copied at the next rebuild.
-    bool dirty = true;
-    std::shared_ptr<const snap_member> snap;
   };
 
   // Iterative lookup driving closure. alpha = 1 outstanding RPC.
@@ -175,15 +196,34 @@ class sloppy_dht {
   // Virtual cost of one RPC exchange between two hosts (RTT + CPU).
   [[nodiscard]] double rpc_cost(sim::node_id from, sim::node_id to) const;
 
-  // Store hygiene (callers hold mu_ on the sync path; the async path runs
-  // single-threaded): drop expired values of `key`, then amortized-sweep the
-  // member's whole store every sweep_interval ops.
+  // --- bucketed store (writers hold mu_ on the sync path; the async path
+  // runs single-threaded) ---------------------------------------------------------
+  [[nodiscard]] static std::size_t bucket_of(const std::string& key);
+  // The values stored under `key`, or null. Readers must hold an EBR guard
+  // (or mu_) for as long as they use the result.
+  [[nodiscard]] static const std::vector<stored_value>* find_values(const member_store& s,
+                                                                    const std::string& key);
+  // A private copy of bucket `b` for a writer to edit and publish.
+  [[nodiscard]] static std::unique_ptr<bucket_map> copy_bucket(const member_store& s,
+                                                               std::size_t b);
+  // Replaces bucket `b` (null when `fresh` is empty) and retires the old
+  // copy behind the epoch.
+  static void publish(member_store& s, std::size_t b, std::unique_ptr<bucket_map> fresh);
+  static void clear_store(member_store& s);
+  // Drops the values of `key` matching `pred`, copying the bucket only when
+  // one does; drops the key when none remain.
+  template <class Pred>
+  void drop_values(member& m, const std::string& key, Pred pred);
   void prune_expired(member& m, const std::string& key, std::int64_t now);
   // Values name cache-holding members; one whose member has left the ring is
-  // a dangling holder. Dropped at read time so a lookup never hands a dead
-  // peer back to the transport — the caller re-replicates via origin instead.
-  [[nodiscard]] bool holder_is_dead(const std::string& value) const;
-  void drop_dangling(member& m, const std::string& key);
+  // a dangling holder. Lookups drop expired and dangling values so a lookup
+  // never hands a dead peer back to the transport — the caller re-replicates
+  // via origin instead.
+  void scrub_key(member& m, const std::string& key, std::int64_t now);
+  [[nodiscard]] bool holder_is_dead(const node_id& holder) const;
+  // Amortized hygiene: every sweep_interval ops touching one member, its
+  // whole store is swept for TTL-expired values (so keys that are never
+  // queried again cannot accumulate dead entries).
   void sweep_member(member& m, std::int64_t now);
   void touch_for_sweep(member& m, std::int64_t now);
   // Sloppy insert honoring max_values_per_key: refresh a duplicate value,
@@ -191,37 +231,35 @@ class sloppy_dht {
   void store_value(member& m, const std::string& key, const std::string& value,
                    std::int64_t expires_at, std::int64_t now);
 
-  // The synchronous store walk used by put_now (under mu_). Walks toward
-  // hash(key), learning/scrubbing routing state as it goes; fills `path`
-  // with the walked shortlist sorted by distance.
-  void walk_now(member& via, const std::string& key, std::int64_t now,
-                bool collect_values, sync_result& out, std::vector<contact>& path);
+  // --- routing and the ring snapshot --------------------------------------------
+  // Readers rebuild the ring snapshot at their next get_now. Called for
+  // liveness changes and for contacts added or removed, never for refreshes.
+  void bump_version() { version_.fetch_add(1, std::memory_order_release); }
+  // `m` learns `c`; bumps the version when c is a new contact.
+  void observe(member& m, const contact& c);
+  void forget(member& m, const node_id& id);
 
-  // --- snapshot plumbing (lock-free get_now) -----------------------------------
-  // A store/liveness mutation: recopy this member at the next rebuild AND
-  // force readers to rebuild (version bump).
-  void mark_store_mutated(member& m);
-  // A routing-only mutation (observe/remove): recopy at the next rebuild,
-  // but don't force one — slightly stale contacts are harmless, stale
-  // stores are not.
-  static void mark_routing_mutated(member& m) { m.dirty = true; }
+  // The synchronous store walk used by put_now (under mu_). Walks toward
+  // `target`, learning/scrubbing routing state as it goes; fills `path` with
+  // the walked shortlist sorted by distance and returns the hop count.
+  int walk_now(member& via, const node_id& target, std::vector<contact>& path);
+
   // Returns a snapshot matching the current version, rebuilding and
   // publishing (old one retired behind the EBR epoch) if needed. mu_ held.
   const ring_snapshot* refresh_snapshot_locked();
-  // The pure-read iterative walk over a snapshot: filters TTL-expired and
-  // dangling-holder values at collection time, never mutates anything.
-  // Members whose stores held filtered values are appended to `scrub` so the
-  // caller can physically drop them afterwards (under the ring mutex) —
-  // lookups stay destructive toward dangling/expired state, as the locked
-  // path was, without steady-state reads ever touching the lock.
+  // The pure-read iterative walk over a snapshot and the live buckets:
+  // filters TTL-expired and dangling-holder values at collection time, never
+  // mutates anything. Members whose stores held filtered values are
+  // appended to `scrub` so the caller can drop them afterwards under the
+  // ring mutex — lookups stay destructive toward dangling/expired state
+  // without steady-state reads ever touching the lock.
   void walk_snapshot(const ring_snapshot& snap, std::size_t via_index,
                      const std::string& key, std::int64_t now, sync_result& out,
                      std::vector<std::size_t>& scrub) const;
   // Index of the live member with this overlay id, or npos.
   [[nodiscard]] static std::size_t find_in_snapshot(const ring_snapshot& snap,
                                                     const node_id& id);
-  [[nodiscard]] static bool holder_dead_in(const ring_snapshot& snap,
-                                           const std::string& value);
+  [[nodiscard]] static bool holder_dead_in(const ring_snapshot& snap, const node_id& holder);
 
   sim::network& net_;
   dht_config config_;

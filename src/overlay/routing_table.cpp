@@ -15,7 +15,7 @@ bool routing_table::observe(const contact& c) {
     // Refresh: move to the most-recently-seen end.
     bucket.erase(it);
     bucket.push_back(c);
-    return true;
+    return false;
   }
   if (bucket.size() >= k_) return false;
   bucket.push_back(c);

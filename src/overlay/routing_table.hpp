@@ -25,8 +25,9 @@ class routing_table {
   routing_table(const node_id& owner, std::size_t k = 8);
 
   // Inserts or refreshes a contact (LRU within its bucket). The owner itself
-  // is never inserted. Returns false when the bucket was full and the contact
-  // was dropped (no liveness probing in the simulator).
+  // is never inserted, and a contact whose bucket is full is dropped (no
+  // liveness probing in the simulator). Returns true only when the contact
+  // was newly inserted — a refresh leaves the contact set unchanged.
   bool observe(const contact& c);
 
   // Up to `count` known contacts closest to `target`, closest first.

@@ -462,6 +462,7 @@ void nakika_node::fetch_resource(const std::string& site, const http::request& r
       // Advertise our copy: "one cached copy ... is sufficient for avoiding
       // origin server accesses".
       const http::freshness f = http::compute_freshness(resp, later);
+      obs::trace_context::scoped advertise_span(trace, obs::stage::advertise);
       transport_->advertise(key, f.expires_at);
     }
     cb(std::move(resp), 0.0);
@@ -569,6 +570,7 @@ http::response nakika_node::fetch_miss_direct(const std::string& site,
     const bool stored = content_cache_.put(key, resp, later);
     if (stored && transport_ != nullptr) {
       const http::freshness f = http::compute_freshness(resp, later);
+      obs::trace_context::scoped advertise_span(trace, obs::stage::advertise);
       transport_->advertise(key, f.expires_at);
     }
     return resp;

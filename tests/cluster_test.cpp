@@ -182,6 +182,16 @@ TEST(WorkerCluster, PeerCacheHitsEqualSimPathOracle) {
   EXPECT_GT(run_two_node_scenario(/*workers=*/1).peer_hits, 0u);
 }
 
+// Advertising a fresh copy is an overlay store walk on the miss path; the
+// node's spans time it as its own stage instead of leaving it inside `total`.
+TEST(WorkerCluster, AdvertiseWalkIsTimedAsItsOwnStage) {
+  cluster_env env(2, /*workers=*/1);
+  for (std::size_t i = 0; i < k_urls; ++i) {
+    ASSERT_EQ(env.fetch_worker(*env.nodes[0], url_for(i)).status, 200) << i;
+  }
+  EXPECT_GT(env.nodes[0]->stage_latency(obs::stage::advertise).count, 0u);
+}
+
 // ----- 4-node x 4-worker stress --------------------------------------------------
 
 TEST(WorkerCluster, FourNodeFourWorkerStressServesAndSharesRaceFree) {

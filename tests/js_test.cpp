@@ -517,6 +517,10 @@ struct num_case {
   const char* expr;
   double expected;
 };
+// Print the expression, not the raw bytes: the default printer dumps the
+// `expr` pointer, which ASLR moves on every run, so ctest's discovered test
+// names (built from GetParam()) would change from build to build.
+void PrintTo(const num_case& c, std::ostream* os) { *os << c.expr; }
 class NumericEdge : public ::testing::TestWithParam<num_case> {};
 TEST_P(NumericEdge, Evaluates) {
   EXPECT_DOUBLE_EQ(eval_num(std::string("result = ") + GetParam().expr + ";"),

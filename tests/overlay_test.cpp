@@ -817,6 +817,78 @@ TEST_F(dht_fixture, SteadyStateGetNowNeverTakesRingMutex) {
   EXPECT_EQ(dht.read_fastpath(), fast_before + k_reads);
 }
 
+// Store writes publish one copy-on-write bucket, never a new ring snapshot:
+// once routing has converged, interleaved puts and gets over 10,000 distinct
+// keys keep every read on the fast path, and every get finds its put.
+TEST_F(dht_fixture, InterleavedPutsNeverForceSlowpathReads) {
+  build_mesh(8);
+  sloppy_dht dht(net);
+  std::vector<sloppy_dht::member_id> members;
+  for (auto h : hosts) members.push_back(dht.join(h, net.node_name(h)));
+  loop.run();
+  const auto key = [](int i) { return "http://site/obj" + std::to_string(i); };
+  const auto member_at = [&](int i) { return members[static_cast<std::size_t>(i) % 8]; };
+
+  // Warm-up: puts from every member fill each routing table.
+  constexpr int k_warmup = 64;
+  for (int i = 0; i < k_warmup; ++i) {
+    ASSERT_GE(dht.put_now(member_at(i), key(i), "holder", 100'000, 0), 0);
+    (void)dht.get_now(member_at(i + 3), key(i), 0);
+  }
+  const std::uint64_t slow_before = dht.read_slowpath();
+
+  constexpr int k_keys = 10'000;
+  for (int i = k_warmup; i < k_keys; ++i) {
+    ASSERT_GE(dht.put_now(member_at(i), key(i), "holder", 100'000, 0), 0);
+    const sloppy_dht::sync_result r = dht.get_now(member_at(i + 3), key(i), 0);
+    ASSERT_EQ(r.values, std::vector<std::string>{"holder"}) << key(i);
+  }
+  EXPECT_EQ(dht.read_slowpath(), slow_before) << "a store write forced a snapshot rebuild";
+}
+
+// Read-your-writes across threads: a get_now that starts after a put_now has
+// returned finds the value, from any member. The writer publishes the index
+// of each completed put; readers on other members look that key up at once.
+TEST_F(dht_fixture, GetNowSeesCompletedPutFromOtherThreads) {
+  build_mesh(6);
+  sloppy_dht dht(net);
+  std::vector<sloppy_dht::member_id> members;
+  for (auto h : hosts) members.push_back(dht.join(h, net.node_name(h)));
+  loop.run();
+  const auto key = [](int i) { return "http://site/obj" + std::to_string(i); };
+
+  constexpr int k_puts = 2'000;
+  std::atomic<int> published{-1};
+  std::thread writer([&] {
+    for (int i = 0; i < k_puts; ++i) {
+      (void)dht.put_now(members[0], key(i), "holder", 100'000, 0);
+      published.store(i, std::memory_order_release);
+    }
+  });
+  std::atomic<std::uint64_t> checks{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 1; t <= 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (;;) {
+        const int seen = published.load(std::memory_order_acquire);
+        if (seen < 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        if (dht.get_now(members[t], key(seen), 0).values.empty()) misses.fetch_add(1);
+        checks.fetch_add(1);
+        if (seen == k_puts - 1) return;
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+
+  EXPECT_GE(checks.load(), 3u);
+  EXPECT_EQ(misses.load(), 0u) << "a get_now missed a put_now that had returned";
+}
+
 // Same property at the coral layer: after the last join, rings_of resolves
 // from the membership snapshot; only the first post-join read rebuilds.
 TEST(Clusters, SteadyStateLookupsNeverTakeMembershipMutex) {
