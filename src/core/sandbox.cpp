@@ -13,7 +13,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 }  // namespace
 
-sandbox::sandbox(js::context_limits limits, js::engine_kind engine) : engine_(engine) {
+sandbox::sandbox(js::context_limits limits) {
   const auto start = std::chrono::steady_clock::now();
   ctx_ = std::make_unique<js::context>(limits);
   binding_ = std::make_shared<exec_binding>();
@@ -39,49 +39,36 @@ const sandbox::loaded_stage& sandbox::load_stage(const std::string& url,
     return *cached;
   }
 
-  // Stage evaluation, engine-dependent. The bytecode path checks the shared
-  // chunk cache first: a content-hash hit skips lex/parse/compile entirely,
-  // which is what makes warm stage loads cheap across a node's sandbox pool.
+  // The shared chunk cache comes first: a content-hash hit skips
+  // lex/parse/compile entirely, which is what makes warm stage loads cheap
+  // across a node's sandbox pools.
   double parse_s = 0.0;
   double compile_s = 0.0;
   bool chunk_hit = false;
-  js::program_ptr prog;
   js::compiled_program_ptr chunk;
-  auto t0 = std::chrono::steady_clock::now();
-
-  if (engine_ == js::engine_kind::bytecode) {
-    std::string content_key;
-    if (chunk_cache_ != nullptr) {
-      content_key = integrity::sha256_hex(source);
-      if (auto cached = chunk_cache_->get(content_key)) {
-        chunk = std::move(*cached);
-        chunk_hit = true;
-      }
+  std::string content_key;
+  if (chunk_cache_ != nullptr) {
+    content_key = integrity::sha256_hex(source);
+    if (auto cached = chunk_cache_->get(content_key)) {
+      chunk = std::move(*cached);
+      chunk_hit = true;
     }
-    if (!chunk) {
-      t0 = std::chrono::steady_clock::now();
-      prog = js::parse_program(source, url);
-      parse_s = seconds_since(t0);
-      t0 = std::chrono::steady_clock::now();
-      chunk = js::compile_program(prog);
-      compile_s = seconds_since(t0);
-      if (chunk_cache_ != nullptr) chunk_cache_->put(content_key, chunk);
-    }
-  } else {
-    prog = js::parse_program(source, url);
+  }
+  if (!chunk) {
+    auto t0 = std::chrono::steady_clock::now();
+    const js::program_ptr prog = js::parse_program(source, url);
     parse_s = seconds_since(t0);
+    t0 = std::chrono::steady_clock::now();
+    chunk = js::compile_program(prog);
+    compile_s = seconds_since(t0);
+    if (chunk_cache_ != nullptr) chunk_cache_->put(content_key, chunk);
   }
 
   policy_registry registry;
   sink_->current = &registry;
-  t0 = std::chrono::steady_clock::now();
+  auto t0 = std::chrono::steady_clock::now();
   try {
-    if (engine_ == js::engine_kind::bytecode) {
-      js::run_program(*ctx_, chunk);
-    } else {
-      js::interpreter in(*ctx_);
-      in.run(prog);
-    }
+    js::run_program(*ctx_, chunk);
   } catch (...) {
     sink_->current = nullptr;
     throw;
@@ -93,9 +80,9 @@ const sandbox::loaded_stage& sandbox::load_stage(const std::string& url,
   auto tree = std::make_shared<decision_tree>(decision_tree::build(registry.set));
 
   loaded_stage stage;
-  // The bytecode engine also lowers the tree's predicates to a chunk the VM
-  // evaluates per request (tree walk kept as oracle and fallback).
-  if (compile_matcher && engine_ == js::engine_kind::bytecode) {
+  // The tree's predicates are lowered to a chunk the VM evaluates per
+  // request too (tree walk kept as oracle and fallback).
+  if (compile_matcher) {
     stage.matcher = compiled_matcher::build(*tree);
   }
   const double tree_s = seconds_since(t0);
@@ -152,8 +139,7 @@ js::gc_cycle_result sandbox::reclaim() {
 // ----- sandbox_pool ------------------------------------------------------------
 
 sandbox* sandbox_pool::acquire(const std::string& site, const js::context_limits& limits,
-                               js::engine_kind engine, chunk_cache* chunks,
-                               bool* created) {
+                               chunk_cache* chunks, bool* created) {
   auto& pool = pools_[site];
   if (!pool.empty()) {
     sandbox* sb = pool.back().release();
@@ -163,7 +149,7 @@ sandbox* sandbox_pool::acquire(const std::string& site, const js::context_limits
   }
   created_.fetch_add(1, std::memory_order_relaxed);
   if (created != nullptr) *created = true;
-  auto sb = std::make_unique<sandbox>(limits, engine);
+  auto sb = std::make_unique<sandbox>(limits);
   sb->set_chunk_cache(chunks);
   return sb.release();
 }

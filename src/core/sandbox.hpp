@@ -39,13 +39,12 @@ using chunk_cache = cache::lru_cache<js::compiled_program_ptr>;
 
 class sandbox {
  public:
-  explicit sandbox(js::context_limits limits = {},
-                   js::engine_kind engine = js::engine_kind::bytecode);
+  explicit sandbox(js::context_limits limits = {});
 
   struct loaded_stage {
     std::shared_ptr<const decision_tree> tree;
-    // Bytecode form of the tree's predicates (bytecode engine only; null when
-    // the tree wasn't compilable or the sandbox runs the tree-walker).
+    // Bytecode form of the tree's predicates (null when the tree wasn't
+    // compilable or the caller skipped it).
     std::shared_ptr<const compiled_matcher> matcher;
     std::uint64_t version = 0;
     std::size_t policy_count = 0;
@@ -58,8 +57,7 @@ class sandbox {
   // Parses + evaluates `source` in this sandbox (policies register during
   // evaluation), builds the decision tree, and caches it under (url,
   // version). Throws js::script_error on script failure. `compile_matcher`
-  // lowers the tree's predicates to bytecode too (bytecode engine only) —
-  // callers that reload a stage per request (the nkp path) pass false, since
+  // lowers the tree's predicates to bytecode too — callers that reload a stage per request (the nkp path) pass false, since
   // a matcher that is never reused can't amortize its build.
   const loaded_stage& load_stage(const std::string& url, const std::string& source,
                                  std::uint64_t version, stage_load_stats* stats = nullptr,
@@ -73,11 +71,9 @@ class sandbox {
   // agree exactly (predicate-parity suite in tests/policy_test.cpp).
   [[nodiscard]] match_result match_stage(const loaded_stage& stage, const http::request& r);
 
-  // Attaches a (node-owned, shared) compiled-chunk cache; only consulted by
-  // the bytecode engine.
+  // Attaches a (node-owned, shared) compiled-chunk cache.
   void set_chunk_cache(chunk_cache* cache) { chunk_cache_ = cache; }
 
-  [[nodiscard]] js::engine_kind engine() const { return engine_; }
   [[nodiscard]] js::context& ctx() { return *ctx_; }
   [[nodiscard]] const exec_binding_ptr& binding() const { return binding_; }
 
@@ -151,14 +147,13 @@ class sandbox {
   std::unique_ptr<js::context> matcher_ctx_;
   exec_binding_ptr binding_;
   policy_sink_ptr sink_;
-  js::engine_kind engine_;
   chunk_cache* chunk_cache_ = nullptr;  // non-owning; the node outlives pools
   std::unordered_map<std::string, loaded_stage> stages_;
   double creation_seconds_ = 0.0;
 };
 
-// Per-site pool of reusable sandboxes. Single-owner (no locking): the node's
-// sim path owns one, and in worker mode each worker thread owns its own —
+// Per-site pool of reusable sandboxes. Single-owner (no locking): every
+// core::worker_context is one (the node's caller thread and each pool worker) —
 // the paper's context-reuse optimization without cross-thread sharing of
 // scripting state. Poisoned (killed/corrupted) contexts are discarded;
 // healthy ones return with their kill flag rearmed.
@@ -167,8 +162,7 @@ class sandbox_pool {
   // Pops a pooled sandbox for `site` or creates one; `created` reports which
   // happened so the caller can charge the matching cost-model amount.
   [[nodiscard]] sandbox* acquire(const std::string& site, const js::context_limits& limits,
-                                 js::engine_kind engine, chunk_cache* chunks,
-                                 bool* created = nullptr);
+                                 chunk_cache* chunks, bool* created = nullptr);
   void release(const std::string& site, sandbox* sb, bool poisoned);
 
   // Relaxed atomic: the pool itself is single-owner, but aggregate

@@ -14,18 +14,6 @@ std::size_t next_pow2(std::size_t v) {
 
 }  // namespace
 
-// ----- worker_context ---------------------------------------------------------
-
-sandbox* worker_context::acquire(const std::string& site, const js::context_limits& limits,
-                                 js::engine_kind engine, chunk_cache* chunks,
-                                 bool* created) {
-  return pool_.acquire(site, limits, engine, chunks, created);
-}
-
-void worker_context::release(const std::string& site, sandbox* sb, bool poisoned) {
-  pool_.release(site, sb, poisoned);
-}
-
 // ----- steal_ring -------------------------------------------------------------
 
 worker_pool::steal_ring::steal_ring(std::size_t capacity_pow2)
@@ -233,7 +221,7 @@ std::uint64_t worker_pool::total_steals() const {
 
 std::size_t worker_pool::sandboxes_created() const {
   std::size_t total = 0;
-  for (const auto& wc : contexts_) total += wc->sandboxes_created();
+  for (const auto& wc : contexts_) total += wc->created();
   return total;
 }
 

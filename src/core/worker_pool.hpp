@@ -41,10 +41,12 @@ struct worker_pool_config {
   std::uint64_t rng_seed = 42;
 };
 
-// What a job sees: the identity, randomness, and sandbox pool of the worker
-// executing it. Never shared across threads — acquire/release and the RNG are
-// only touched by the owning worker, so none of it needs locks.
-class worker_context {
+// What a job sees: the identity, randomness, and per-site sandbox pools
+// (paper: contexts cost ~1.5 ms to create, ~3 µs to reuse — pooling
+// matters) of the thread executing it; the node's caller thread has one
+// too. Never shared across threads — acquire/release and the RNG are only
+// touched by the owning thread, so none of it needs locks.
+class worker_context : public sandbox_pool {
  public:
   worker_context(std::size_t index, std::uint64_t rng_seed)
       : index_(index), rng_(rng_seed) {}
@@ -52,21 +54,9 @@ class worker_context {
   [[nodiscard]] std::size_t index() const { return index_; }
   [[nodiscard]] util::rng& rng() { return rng_; }
 
-  // Pops a pooled sandbox for `site` or creates one (paper: contexts cost
-  // ~1.5 ms to create, ~3 µs to reuse — pooling matters). `created` reports
-  // which happened so the caller can charge the right cost-model amount.
-  [[nodiscard]] sandbox* acquire(const std::string& site, const js::context_limits& limits,
-                                 js::engine_kind engine, chunk_cache* chunks, bool* created);
-  // Returns a sandbox to the pool; poisoned (killed/corrupted) contexts are
-  // discarded, matching the single-threaded node's policy.
-  void release(const std::string& site, sandbox* sb, bool poisoned);
-
-  [[nodiscard]] std::size_t sandboxes_created() const { return pool_.created(); }
-
  private:
   std::size_t index_;
   util::rng rng_;
-  sandbox_pool pool_;
 };
 
 class worker_pool {

@@ -170,8 +170,10 @@ class trace_context {
     scoped(const scoped&) = delete;
     scoped& operator=(const scoped&) = delete;
 
+    // After an explicit stop() the destructor touches nothing, so a span
+    // stopped before a continuation may outlive the request it timed.
     void stop() {
-      if (ctx_ != nullptr && ctx_->enabled() && !stopped_) {
+      if (!stopped_ && ctx_ != nullptr && ctx_->enabled()) {
         ctx_->add(stage_, ctx_->now() - begin_);
         stopped_ = true;
       }

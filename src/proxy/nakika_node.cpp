@@ -27,6 +27,193 @@ double trace_clock(void* node) {
 }
 }  // namespace
 
+// ----- the per-request state and the sim/worker seam -----------------------------------
+
+struct nakika_node::request_state {
+  request_state(const http::request& r, respond d) : request(r), done(std::move(d)) {}
+  request_state(const request_state&) = delete;  // continuations hold its address
+  request_state& operator=(const request_state&) = delete;
+
+  http::request request;  // host-rewritten in place; moved into the pipeline
+  respond done;
+  std::string site;
+  core::worker_context* wc = nullptr;  // sandbox pools + admission RNG
+  std::size_t slot = 0;                // wc's metrics/counter slot
+  obs::trace_context trace;            // disabled unless sampled
+  double start = 0.0;                  // virtual_now() on entry
+  core::sandbox* sb = nullptr;         // checked out while the pipeline runs
+  double setup_cpu = 0.0;              // proxy overhead + context create/reuse
+  http::response response;             // what answer() sends
+  bool* answered = nullptr;            // set by answer() (worker-mode backstop)
+
+  obs::trace_context* tr() { return trace.enabled() ? &trace : nullptr; }
+};
+
+class nakika_node::executor {
+ public:
+  executor() = default;
+  executor(const executor&) = delete;
+  executor& operator=(const executor&) = delete;
+  virtual ~executor() = default;
+  // The node's clocks (see virtual_now and trace_now).
+  [[nodiscard]] virtual double now() const = 0;
+  [[nodiscard]] virtual double trace_now() const { return now(); }
+  // Bills `cpu` seconds of node CPU, then `delay` seconds of network time,
+  // then continues.
+  virtual void charge(double cpu, double delay, std::function<void()> next) = 0;
+  // Stretch factor of a pipeline's CPU bill under memory pressure, after
+  // `churn_bytes` more script allocation.
+  virtual double memory_pressure(double churn_bytes) = 0;
+  // Sends `r` to its origin and continues with the response, or with
+  // nullopt when the host resolves to no origin this executor can reach.
+  virtual void origin(const http::request& r,
+                      std::function<void(std::optional<http::response>)> next) = 0;
+  // Runs `fetch` for `key` under `flights`' single-flight discipline and
+  // continues with its response and whether this caller only waited on
+  // another caller's flight.
+  virtual void coalesce(net::single_flight& flights, const std::string& key,
+                        const std::function<void(respond)>& fetch,
+                        std::function<void(http::response, bool)> next) = 0;
+  // Network time a script sub-fetch that `origin` served owes the pipeline.
+  [[nodiscard]] virtual double sub_fetch_delay(const origin_server& origin,
+                                               const http::response& resp,
+                                               double origin_cpu) const = 0;
+};
+
+// workers = 0: every wait is an event on the simulator's loop and CPU and
+// network time are billed in virtual time. One thread serves, so nothing
+// coalesces.
+class nakika_node::sim_executor final : public nakika_node::executor {
+ public:
+  explicit sim_executor(nakika_node& node) : node_(node) {}
+
+  double now() const override { return node_.net_.loop().now(); }
+
+  void charge(double cpu, double delay, std::function<void()> next) override {
+    node_.net_.run_cpu(node_.host_, cpu, [this, delay, next = std::move(next)]() mutable {
+      if (delay > 0) {
+        node_.net_.loop().schedule(delay, std::move(next));
+      } else {
+        next();
+      }
+    });
+  }
+
+  // Memory-pressure model: when script allocation churn exceeds the node's
+  // memory capacity (possible only when per-context limits are disabled and
+  // the monitor has not intervened), every request slows down — the
+  // simulator's stand-in for swap/GC thrashing on a real host. The factor is
+  // the overcommit ratio over a sliding window.
+  double memory_pressure(double churn_bytes) override {
+    const double t = now();
+    constexpr double window = 0.25;  // seconds
+    if (t - window_start_ >= window) {
+      rate_ = window_bytes_ / std::max(window, t - window_start_);
+      window_start_ = t;
+      window_bytes_ = 0.0;
+    }
+    window_bytes_ += churn_bytes;
+    const double capacity = node_.config_.capacities.memory_bytes_per_second;
+    if (capacity <= 0 || rate_ <= capacity) return 1.0;
+    return std::min(rate_ / capacity, 64.0);
+  }
+
+  void origin(const http::request& r,
+              std::function<void(std::optional<http::response>)> next) override {
+    http_endpoint* origin = node_.resolve_origin_(r.url.host());
+    if (origin == nullptr) {
+      next(std::nullopt);
+      return;
+    }
+    forward_request(node_.net_, node_.host_, *origin, r,
+                    [next = std::move(next)](http::response resp) { next(std::move(resp)); });
+  }
+
+  void coalesce(net::single_flight& /*flights*/, const std::string& /*key*/,
+                const std::function<void(respond)>& fetch,
+                std::function<void(http::response, bool)> next) override {
+    fetch([next = std::move(next)](http::response resp) { next(std::move(resp), false); });
+  }
+
+  // Scripts see blocking semantics (per-script user-level threads in the
+  // paper) while the simulator bills the round trip, the origin's CPU and
+  // the transfer to the pipeline's completion.
+  double sub_fetch_delay(const origin_server& origin, const http::response& resp,
+                         double origin_cpu) const override {
+    const sim::network& net = node_.net_;
+    const double rtt = net.has_route(node_.host_, origin.host())
+                           ? 2.0 * net.route_latency(node_.host_, origin.host())
+                           : 0.0;
+    const double transfer_time =
+        static_cast<double>(http::wire_size(resp)) / 12.5e6;  // nominal LAN rate
+    return rtt + origin_cpu + transfer_time;
+  }
+
+ private:
+  nakika_node& node_;
+  double window_start_ = 0.0;
+  double window_bytes_ = 0.0;
+  double rate_ = 0.0;  // bytes/second over the last window
+};
+
+// workers > 0: the body runs synchronously on a pool thread. Real time is
+// burnt rather than billed (the transport's virtual network cost is
+// accounted in peer_latency_seconds instead), origins are served in-process
+// through origin_server::serve_now, and concurrent misses for one URL share
+// one upstream fetch.
+class nakika_node::worker_executor final : public nakika_node::executor {
+ public:
+  explicit worker_executor(nakika_node& node) : node_(node) {}
+
+  double now() const override { return seconds_since(start_); }
+  double trace_now() const override { return obs::fast_clock::now_seconds() - trace_epoch_; }
+
+  void charge(double /*cpu*/, double /*delay*/, std::function<void()> next) override {
+    next();
+  }
+  double memory_pressure(double /*churn_bytes*/) override { return 1.0; }
+
+  void origin(const http::request& r,
+              std::function<void(std::optional<http::response>)> next) override {
+    auto* origin = dynamic_cast<origin_server*>(node_.resolve_origin_(r.url.host()));
+    next(origin != nullptr ? origin->serve_now(r) : std::nullopt);
+  }
+
+  // The flight's leader runs `fetch`, whose continuation completes before it
+  // returns here; waiters park until then and get a copy of the response.
+  void coalesce(net::single_flight& flights, const std::string& key,
+                const std::function<void(respond)>& fetch,
+                std::function<void(http::response, bool)> next) override {
+    bool coalesced = false;
+    http::response out = flights.run(
+        key,
+        [&] {
+          // A flight that completed between the caller's miss and taking
+          // leadership may have filled the cache already.
+          if (auto hit = node_.content_cache_.get(key, static_cast<std::int64_t>(now()))) {
+            return std::move(*hit);
+          }
+          http::response fetched;
+          fetch([&fetched](http::response resp) { fetched = std::move(resp); });
+          return fetched;
+        },
+        &coalesced);
+    next(std::move(out), coalesced);
+  }
+
+  double sub_fetch_delay(const origin_server& /*origin*/, const http::response& /*resp*/,
+                         double /*origin_cpu*/) const override {
+    return 0.0;
+  }
+
+ private:
+  nakika_node& node_;
+  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  double trace_epoch_ = obs::fast_clock::now_seconds();  // trace_now()'s zero point
+};
+
+// ----- node ------------------------------------------------------------------------
+
 nakika_node::nakika_node(sim::network& net, sim::node_id host,
                          endpoint_resolver resolve_origin, node_config config)
     : net_(net),
@@ -41,12 +228,13 @@ nakika_node::nakika_node(sim::network& net, sim::node_id host,
       no_script_(config_.default_script_ttl > 0 ? config_.default_script_ttl : 300,
                  config_.script_cache_entries),
       chunk_cache_(config_.chunk_cache_entries),
+      caller_(0, config_.rng_seed),
       metrics_(config_.workers + 1),
       spans_(config_.workers + 1, config_.span_ring_capacity),
       site_obs_(config_.workers + 1),
-      trace_decim_(config_.workers),
-      counters_(config_.workers + 1),
-      rng_(config_.rng_seed) {
+      trace_decim_(config_.workers + 1),
+      trace_every_(config_.workers > 0 ? config_.trace_sample_every : 1),
+      counters_(config_.workers + 1) {
   register_metrics();
   // Tenant isolation wiring (setup-time: before any request is served).
   for (const auto& [tenant, quota] : config_.tenant_cache_quota_bytes) {
@@ -55,14 +243,17 @@ nakika_node::nakika_node(sim::network& net, sim::node_id host,
   for (const auto& [site, weight] : config_.site_weights) {
     resources_.set_site_weight(site, weight);
   }
-  if (config_.workers > 0) {
-    core::worker_pool_config wp;
-    wp.workers = config_.workers;
-    wp.queue_capacity = config_.queue_capacity;
-    // Offset so worker admission draws differ from the sim-path stream.
-    wp.rng_seed = config_.rng_seed + 0x9e3779b97f4a7c15ULL;
-    pool_ = std::make_unique<core::worker_pool>(wp);
+  if (config_.workers == 0) {
+    exec_ = std::make_unique<sim_executor>(*this);
+    return;
   }
+  core::worker_pool_config wp;
+  wp.workers = config_.workers;
+  wp.queue_capacity = config_.queue_capacity;
+  // Offset so worker admission draws differ from the caller thread's stream.
+  wp.rng_seed = config_.rng_seed + 0x9e3779b97f4a7c15ULL;
+  pool_ = std::make_unique<core::worker_pool>(wp);
+  exec_ = std::make_unique<worker_executor>(*this);
 }
 
 nakika_node::~nakika_node() {
@@ -81,15 +272,9 @@ void nakika_node::drain() {
   if (pool_ != nullptr) pool_->drain();
 }
 
-double nakika_node::virtual_now() const {
-  if (pool_ != nullptr) return seconds_since(start_time_);
-  return net_.loop().now();
-}
+double nakika_node::virtual_now() const { return exec_->now(); }
 
-double nakika_node::trace_now() const {
-  if (pool_ != nullptr) return obs::fast_clock::now_seconds() - trace_epoch_;
-  return net_.loop().now();
-}
+double nakika_node::trace_now() const { return exec_->trace_now(); }
 
 void nakika_node::set_wall_sources(std::string clientwall, std::string serverwall) {
   config_.clientwall_source = std::move(clientwall);
@@ -188,31 +373,182 @@ nakika_node::site_cache_stats nakika_node::site_cache(const std::string& site) c
 }
 
 std::size_t nakika_node::sandboxes_created() const {
-  return sandbox_pool_.created() + (pool_ != nullptr ? pool_->sandboxes_created() : 0);
+  return caller_.created() + (pool_ != nullptr ? pool_->sandboxes_created() : 0);
 }
 
-// ----- sandbox pool -----------------------------------------------------------
+// ----- request handling ---------------------------------------------------------------
 
-core::sandbox* nakika_node::acquire_sandbox(const std::string& site, double& cpu_cost) {
+void nakika_node::handle(const http::request& original,
+                         std::function<void(http::response)> done) {
+  auto* st = new request_state(original, std::move(done));
+  if (pool_ == nullptr) {
+    run(st, caller_, /*slot=*/0);
+    return;
+  }
+  // Affinity by site: one site's requests prefer one worker's ring, so its
+  // sandbox reuse and cache lines stay warm; stealing rebalances skew.
+  const std::uint64_t affinity = std::hash<std::string>{}(original.url.site());
+  const bool accepted = pool_->try_submit(
+      [this, st](core::worker_context& wc) {
+        bool answered = false;
+        st->answered = &answered;
+        try {
+          run(st, wc, wc.index() + 1);
+        } catch (...) {
+          // The pipeline itself converts script failures into responses;
+          // landing here means host code threw (an origin handler,
+          // allocation failure). The request must still be answered and the
+          // sandbox/registration must not leak. A throw from `done` after
+          // the answer is not ours to answer — rethrow so the pool's
+          // backstop counts it.
+          if (answered) throw;
+          if (st->sb != nullptr) {
+            resources_.pipeline_finished(st->site, st->sb->kill_flag());
+            wc.release(st->site, st->sb, /*poisoned=*/true);
+          }
+          counters_.add(st->slot, counter_field::failed);
+          st->response = http::make_error_response(500, "internal error on worker");
+          answer(st);
+        }
+      },
+      affinity);
+  if (!accepted) {
+    // A full queue is the backpressure signal: reject immediately, on the
+    // caller's thread.
+    counters_.add(0, counter_field::offered);
+    counters_.add(0, counter_field::rejected);
+    st->response = http::make_error_response(503, "server busy (queue full)");
+    answer(st);
+  }
+}
+
+void nakika_node::run(request_state* st, core::worker_context& wc, std::size_t slot) {
+  st->wc = &wc;
+  st->slot = slot;
+  counters_.add(slot, counter_field::offered);
+  st->start = virtual_now();
+
+  http::request& r = st->request;
+  if (overlay::is_nakika_host(r.url.host())) {
+    r.url.set_host(overlay::from_nakika_host(r.url.host()));
+  }
+  st->site = r.url.site();
+
+  // Span sampling (node_config::trace_sample_every): every Nth request per
+  // slot gets the full trace — per-stage stamps plus a span-ring entry. The
+  // rest still land in the end-to-end latency histogram, which reuses
+  // `start` (taken anyway for billing), so p50/p99/p999 stay exact per
+  // request while the per-span cost is amortized 1/N.
+  if (config_.telemetry && (trace_every_ <= 1 || trace_decim_[slot].n++ % trace_every_ == 0)) {
+    st->trace = obs::trace_context(trace_clock, this);
+    st->trace.record().site = st->site;
+    st->trace.record().path = r.url.path();
+    st->trace.record().start = st->trace.now();
+  }
+
+  if (config_.resource_controls && !resources_.admit(st->site, wc.rng(), st->start)) {
+    // Throttled rejection is a shared-memory flag check in the paper's
+    // implementation — far cheaper than full request processing.
+    counters_.add(slot, counter_field::throttled);
+    st->trace.flag(obs::span_flag::throttled);
+    record_latency(*st, 503, virtual_now() - st->start);
+    st->response = http::make_error_response(503, "server busy (throttled)");
+    exec_->charge(0.0001, 0.0, [this, st] { answer(st); });
+    return;
+  }
+
+  if (!config_.scripting) {
+    // DHT-only mode: cache + cooperative lookup, no scripting pipeline.
+    exec_->charge(config_.costs.proxy_overhead, 0.0, [this, st] {
+      fetch_resource(st, st->request, [this, st](http::response resp, double cpu) {
+        counters_.add(st->slot, counter_field::completed);
+        record_latency(*st, resp.status, virtual_now() - st->start);
+        st->response = std::move(resp);
+        exec_->charge(cpu + config_.costs.dht_processing, 0.0, [this, st] { answer(st); });
+      });
+    });
+    return;
+  }
+  run_pipeline(st);
+}
+
+void nakika_node::run_pipeline(request_state* st) {
   bool created = false;
-  core::sandbox* sb = sandbox_pool_.acquire(site, config_.script_limits,
-                                            config_.script_engine, &chunk_cache_, &created);
-  cpu_cost += created ? config_.costs.context_create : config_.costs.context_reuse;
-  return sb;
+  st->sb = st->wc->acquire(st->site, config_.script_limits, &chunk_cache_, &created);
+  st->setup_cpu = config_.costs.proxy_overhead +
+                  (created ? config_.costs.context_create : config_.costs.context_reuse);
+  resources_.pipeline_started(st->site, st->sb->kill_flag());
+
+  core::exec_state base;
+  base.site = st->site;
+  base.local_specs = config_.local_specs;
+  base.now = static_cast<std::int64_t>(st->start);
+  base.http_cache = &content_cache_;
+  base.store = &store_;
+  // replicas_ is wired at deployment time, before serving starts.
+  const auto rep = replicas_.find(st->site);
+  base.replica = rep == replicas_.end() ? nullptr : rep->second;
+  base.fetch = [this, st](const http::request& sub) { return sub_fetch(st, sub); };
+  base.resources = resources_.view_for(st->site);
+  base.trace = st->tr();
+
+  pipeline_.execute(
+      std::move(st->request), *st->sb, st->site + "/nakika.js",
+      [this](const std::string& url, std::function<void(core::stage_fetch_result)> cb) {
+        load_stage_script(url, std::move(cb));
+      },
+      [this, st](const http::request& req, std::function<void(http::response, double)> cb) {
+        fetch_resource(st, req, std::move(cb));
+      },
+      std::move(base),
+      [this, st](core::pipeline_result result) { finish_pipeline(st, std::move(result)); });
 }
 
-js::gc_cycle_result nakika_node::release_sandbox(const std::string& site,
-                                                 core::sandbox* sb, bool poisoned) {
-  const js::gc_cycle_result gc =
-      reclaim_sandbox(site, sb, poisoned, /*slot=*/0, config_.resource_controls);
-  sandbox_pool_.release(site, sb, poisoned);
-  return gc;
+void nakika_node::finish_pipeline(request_state* st, core::pipeline_result result) {
+  resources_.pipeline_finished(st->site, st->sb->kill_flag());
+  const bool poisoned = result.terminated || result.failed;
+  const js::gc_cycle_result pool_gc = reclaim_sandbox(st->site, st->sb, poisoned, st->slot);
+  st->wc->release(st->site, st->sb, poisoned);
+  st->sb = nullptr;
+
+  const double elapsed = virtual_now() - st->start;
+  account_pipeline(st->site, result, elapsed, st->slot);
+  if (obs::trace_context* trace = st->tr()) {
+    const double gc_span = result.gc_seconds + pool_gc.seconds;
+    if (gc_span > 0.0) trace->add(obs::stage::gc, gc_span);
+    if (result.terminated) trace->flag(obs::span_flag::terminated);
+    else if (result.failed) trace->flag(obs::span_flag::failed);
+  }
+  record_latency(*st, result.response.status, elapsed);
+
+  const double cpu = (st->setup_cpu + result.script_cpu_seconds +
+                      config_.stage_overhead * result.stages_executed) *
+                     exec_->memory_pressure(static_cast<double>(result.heap_bytes));
+  st->response = std::move(result.response);
+  exec_->charge(cpu, result.virtual_delay_seconds, [this, st] { answer(st); });
+}
+
+void nakika_node::answer(request_state* st) {
+  // Freed once the client has its response (or its callback threw), so the
+  // teardown is not on the response's latency path.
+  const std::unique_ptr<request_state> owned(st);
+  if (st->answered != nullptr) *st->answered = true;
+  st->done(std::move(st->response));
+}
+
+void nakika_node::record_latency(request_state& st, int status, double elapsed_seconds) {
+  if (st.trace.enabled()) {
+    finish_span(st.trace, static_cast<std::uint16_t>(status), elapsed_seconds, st.slot);
+  } else if (config_.telemetry) {
+    metrics_.record_seconds(st.slot,
+                            ids_.stage_hist[static_cast<std::size_t>(obs::stage::total)],
+                            elapsed_seconds);
+  }
 }
 
 js::gc_cycle_result nakika_node::reclaim_sandbox(const std::string& site,
                                                  core::sandbox* sb, bool poisoned,
-                                                 std::size_t slot,
-                                                 bool record_resources) {
+                                                 std::size_t slot) {
   js::gc_cycle_result gc;
   if (sb == nullptr || poisoned) return gc;  // poisoned sandboxes are destroyed
   gc = sb->reclaim();
@@ -222,7 +558,7 @@ js::gc_cycle_result nakika_node::reclaim_sandbox(const std::string& site,
   }
   // The tenant whose scripts built the garbage pays for collecting it, even
   // though the collection runs after its response was sent.
-  if (record_resources && gc.seconds > 0.0) {
+  if (config_.resource_controls && gc.seconds > 0.0) {
     resources_.record(site, core::resource_kind::cpu, gc.seconds);
   }
   metrics_.add(slot, ids_.gc_collections, 1);
@@ -238,136 +574,181 @@ js::gc_cycle_result nakika_node::reclaim_sandbox(const std::string& site,
 
 // ----- stage script loading ------------------------------------------------------
 
-std::optional<core::stage_fetch_result> nakika_node::probe_stage_script(
-    const std::string& url, std::int64_t now) {
+void nakika_node::load_stage_script(const std::string& url,
+                                    std::function<void(core::stage_fetch_result)> cb) {
+  const auto now = static_cast<std::int64_t>(virtual_now());
   core::stage_fetch_result out;
-
   // Administrative walls come from node configuration (the paper fetches
   // them from nakika.net and caches; administrators may override locally).
-  if (url == config_.pipeline.clientwall_url) {
-    out.found = !config_.clientwall_source.empty();
-    out.source = config_.clientwall_source;
+  if (url == config_.pipeline.clientwall_url || url == config_.pipeline.serverwall_url) {
+    const std::string& source = url == config_.pipeline.clientwall_url
+                                    ? config_.clientwall_source
+                                    : config_.serverwall_source;
+    out.found = !source.empty();
+    out.source = source;
     out.version = 1;
-    return out;
+    cb(std::move(out));
+    return;
   }
-  if (url == config_.pipeline.serverwall_url) {
-    out.found = !config_.serverwall_source.empty();
-    out.source = config_.serverwall_source;
-    out.version = 1;
-    return out;
+  if (no_script_.contains(url, now)) {  // cached "no such script"
+    cb(std::move(out));
+    return;
   }
-
-  if (no_script_.contains(url, now)) return out;  // cached "no such script"
   if (auto cached = script_cache_.get(url, now)) {
     out.found = true;
     out.source = std::move(cached->source);
     out.version = cached->version;
-    return out;
+    cb(std::move(out));
+    return;
   }
   // Scripts are ordinary HTTP resources subject to ordinary caching (§3.1);
   // dynamically generated stage code (e.g. the blacklist extension) lands in
   // the content cache via the Cache vocabulary and is loadable from there.
-  if (auto content = content_cache_.get(url, now)) {
-    if (content->ok() && content->body) {
-      out.found = true;
-      out.source = content->body->str();
-      // Content-hash versioning: identical generated code reuses the
-      // compiled stage; regenerated code reloads.
-      out.version = std::hash<std::string>{}(out.source) | 1;
-      return out;
+  if (auto content = content_cache_.get(url, now); content && content->ok() && content->body) {
+    out.found = true;
+    out.source = content->body->str();
+    // Content-hash versioning: identical generated code reuses the
+    // compiled stage; regenerated code reloads.
+    out.version = std::hash<std::string>{}(out.source) | 1;
+    cb(std::move(out));
+    return;
+  }
+
+  http::request script_request;
+  try {
+    script_request.url = http::url::parse(url);
+  } catch (const std::invalid_argument&) {
+    no_script_.insert(url, now);
+    cb(std::move(out));
+    return;
+  }
+  script_request.client_ip = "0.0.0.0";
+  exec_->origin(script_request, [this, url, now, cb = std::move(cb)](
+                                    std::optional<http::response> resp) {
+    const auto later = static_cast<std::int64_t>(virtual_now());
+    core::stage_fetch_result fetched;
+    if (!resp || !resp->ok() || !resp->body) {
+      no_script_.insert(url, resp ? later : now);
+      cb(std::move(fetched));
+      return;
     }
-  }
-  return std::nullopt;  // needs an origin fetch
-}
-
-core::stage_fetch_result nakika_node::finish_stage_script_fetch(const std::string& url,
-                                                                http::response* resp,
-                                                                std::int64_t later) {
-  core::stage_fetch_result out;
-  if (resp == nullptr || !resp->ok() || !resp->body) {
-    no_script_.insert(url, later);
-    return out;
-  }
-  script_entry entry;
-  entry.source = resp->body->str();
-  entry.version = next_script_version_.fetch_add(1, std::memory_order_relaxed);
-  const http::freshness f = http::compute_freshness(*resp, later);
-  const std::int64_t expiry =
-      f.cacheable ? f.expires_at : later + config_.default_script_ttl;
-  script_cache_.put(url, entry, expiry);
-  out.found = true;
-  out.source = std::move(entry.source);
-  out.version = entry.version;
-  return out;
-}
-
-void nakika_node::load_stage_script(const std::string& url,
-                                    std::function<void(core::stage_fetch_result)> cb) {
-  const auto now = static_cast<std::int64_t>(net_.loop().now());
-  if (auto probed = probe_stage_script(url, now)) {
-    cb(std::move(*probed));
-    return;
-  }
-
-  http::request script_request;
-  try {
-    script_request.url = http::url::parse(url);
-  } catch (const std::invalid_argument&) {
-    no_script_.insert(url, now);
-    cb(core::stage_fetch_result{});
-    return;
-  }
-  script_request.client_ip = "0.0.0.0";
-
-  http_endpoint* origin = resolve_origin_(script_request.url.host());
-  if (origin == nullptr) {
-    no_script_.insert(url, now);
-    cb(core::stage_fetch_result{});
-    return;
-  }
-  forward_request(net_, host_, *origin, script_request,
-                  [this, url, cb = std::move(cb)](http::response resp) mutable {
-                    const auto later = static_cast<std::int64_t>(net_.loop().now());
-                    cb(finish_stage_script_fetch(url, &resp, later));
-                  });
-}
-
-// Synchronous twin of load_stage_script for the worker path: identical cache
-// discipline (shared helpers above), but origin access goes through
-// origin_server::serve_now instead of the (single-threaded) event loop.
-core::stage_fetch_result nakika_node::load_stage_script_direct(const std::string& url) {
-  const auto now = static_cast<std::int64_t>(virtual_now());
-  if (auto probed = probe_stage_script(url, now)) return std::move(*probed);
-
-  http::request script_request;
-  try {
-    script_request.url = http::url::parse(url);
-  } catch (const std::invalid_argument&) {
-    no_script_.insert(url, now);
-    return core::stage_fetch_result{};
-  }
-  script_request.client_ip = "0.0.0.0";
-
-  auto* origin = dynamic_cast<origin_server*>(resolve_origin_(script_request.url.host()));
-  if (origin == nullptr) {
-    no_script_.insert(url, now);
-    return core::stage_fetch_result{};
-  }
-  auto resp = origin->serve_now(script_request);
-  const auto later = static_cast<std::int64_t>(virtual_now());
-  return finish_stage_script_fetch(url, resp ? &*resp : nullptr, later);
+    script_entry entry{resp->body->str(),
+                       next_script_version_.fetch_add(1, std::memory_order_relaxed)};
+    const http::freshness f = http::compute_freshness(*resp, later);
+    script_cache_.put(url, entry,
+                      f.cacheable ? f.expires_at : later + config_.default_script_ttl);
+    fetched.found = true;
+    fetched.source = std::move(entry.source);
+    fetched.version = entry.version;
+    cb(std::move(fetched));
+  });
 }
 
 // ----- resource fetching -----------------------------------------------------------
 
-http::response nakika_node::maybe_render_nkp(const std::string& site, const http::request& r,
-                                             http::response resp, core::worker_context* wc,
-                                             obs::trace_context* trace) {
+void nakika_node::fetch_resource(request_state* st, const http::request& r,
+                                 std::function<void(http::response, double)> cb) {
+  obs::trace_context* const trace = st->tr();
+  const std::string key = r.url.str();
+  std::optional<http::response> hit;
+  {
+    obs::trace_context::scoped lookup_span(trace, obs::stage::cache_lookup);
+    hit = content_cache_.get(key, static_cast<std::int64_t>(virtual_now()));
+  }
+  if (hit) {
+    if (trace != nullptr) trace->flag(obs::span_flag::cache_hit);
+    cb(std::move(*hit), config_.costs.cache_hit_serve);
+    return;
+  }
+  if (trace != nullptr) trace->flag(obs::span_flag::cache_miss);
+
+  // Query-bearing URLs are dynamic/personalized: each request must reach the
+  // origin itself, so they bypass coalescing (same rule as the overlay).
+  if (!r.url.query().empty()) {
+    fetch_miss(st, r, [cb = std::move(cb)](http::response resp) { cb(std::move(resp), 0.0); });
+    return;
+  }
+  const double flight_begin = trace != nullptr ? trace->now() : 0.0;
+  exec_->coalesce(
+      flights_, key, [this, st, &r](respond next) { fetch_miss(st, r, std::move(next)); },
+      [this, st, flight_begin, cb = std::move(cb)](http::response resp, bool coalesced) {
+        if (coalesced) {
+          counters_.add(st->slot, counter_field::coalesced);
+          if (obs::trace_context* t = st->tr()) {
+            // The whole wait was spent blocked on the flight leader.
+            t->add(obs::stage::coalesced_wait, t->now() - flight_begin);
+            t->flag(obs::span_flag::coalesced);
+          }
+        }
+        cb(std::move(resp), 0.0);
+      });
+}
+
+void nakika_node::fetch_miss(request_state* st, const http::request& r, respond next) {
+  // The overlay is only worth consulting for content that peers could have
+  // cached; query-bearing URLs are dynamic/personalized and go straight to
+  // the origin (as CoralCDN does for uncacheable content).
+  if (transport_ == nullptr || !r.url.query().empty()) {
+    fetch_origin(st, r, std::move(next));
+    return;
+  }
+  const double peer_begin = st->tr() != nullptr ? st->trace.now() : 0.0;
+  transport_->fetch_from_peers(r, [this, st, &r, peer_begin, next = std::move(next)](
+                                      net::peer_transport::result res) mutable {
+    peer_latency_micros_.fetch_add(static_cast<std::uint64_t>(res.latency_seconds * 1e6),
+                                   std::memory_order_relaxed);
+    if (obs::trace_context* t = st->tr()) {
+      // Fold in the transport's accounted virtual network cost (overlay walks
+      // + peer round-trips), which wall time on a worker does not include
+      // (0 on the sim path, whose event loop bills it instead).
+      t->add(obs::stage::peer_fetch, t->now() - peer_begin + res.latency_seconds);
+    }
+    if (res.response) {
+      counters_.add(st->slot, counter_field::peer_hits);
+      st->trace.flag(obs::span_flag::peer_hit);
+      store_fetched(st, r, std::move(*res.response), std::move(next));
+      return;
+    }
+    counters_.add(st->slot, counter_field::peer_misses);
+    fetch_origin(st, r, std::move(next));
+  });
+}
+
+void nakika_node::fetch_origin(request_state* st, const http::request& r, respond next) {
+  const double origin_begin = st->tr() != nullptr ? st->trace.now() : 0.0;
+  exec_->origin(r, [this, st, &r, origin_begin, next = std::move(next)](
+                       std::optional<http::response> resp) mutable {
+    if (obs::trace_context* t = st->tr()) {
+      t->add(obs::stage::origin_fetch, t->now() - origin_begin);
+      t->flag(obs::span_flag::origin);
+    }
+    if (!resp) resp = http::make_error_response(502, "cannot resolve " + r.url.host());
+    store_fetched(st, r, std::move(*resp), std::move(next));
+  });
+}
+
+void nakika_node::store_fetched(request_state* st, const http::request& r,
+                                http::response resp, respond next) {
+  resp = maybe_render_nkp(*st, r, std::move(resp));
+  const std::string key = r.url.str();
+  const auto later = static_cast<std::int64_t>(virtual_now());
+  if (content_cache_.put(key, resp, later) && transport_ != nullptr) {
+    // Advertise our copy: "one cached copy ... is sufficient for avoiding
+    // origin server accesses".
+    const http::freshness f = http::compute_freshness(resp, later);
+    obs::trace_context::scoped advertise_span(st->tr(), obs::stage::advertise);
+    transport_->advertise(key, f.expires_at);
+  }
+  next(std::move(resp));
+}
+
+http::response nakika_node::maybe_render_nkp(request_state& st, const http::request& r,
+                                             http::response resp) {
   if (!config_.enable_pages || !resp.ok() || !resp.body) return resp;
   const std::string content_type = resp.headers.get_or("Content-Type", "");
   if (!core::is_nkp_resource(r.url.path(), content_type)) return resp;
-  obs::trace_context::scoped nkp_span(trace, obs::stage::nkp_render);
-  if (trace != nullptr) trace->flag(obs::span_flag::nkp);
+  obs::trace_context::scoped nkp_span(st.tr(), obs::stage::nkp_render);
+  st.trace.flag(obs::span_flag::nkp);
 
   // Compile the page into a one-policy script and run its onResponse in the
   // site's sandbox (the paper layers NKP on the event model the same way).
@@ -378,15 +759,7 @@ http::response nakika_node::maybe_render_nkp(const std::string& site, const http
     return http::make_error_response(500, std::string("nkp: ") + e.what());
   }
 
-  double cpu = 0.0;
-  core::sandbox* sb = nullptr;
-  if (wc != nullptr) {
-    bool created = false;
-    sb = wc->acquire(site, config_.script_limits, config_.script_engine, &chunk_cache_,
-                     &created);
-  } else {
-    sb = acquire_sandbox(site, cpu);
-  }
+  core::sandbox* sb = st.wc->acquire(st.site, config_.script_limits, &chunk_cache_);
   bool poisoned = false;
   http::response rendered = std::move(resp);
   try {
@@ -400,7 +773,7 @@ http::response nakika_node::maybe_render_nkp(const std::string& site, const http
     const core::match_result match = sb->match_stage(stage, r);
     if (match.found() && match.matched->has_on_response()) {
       core::exec_state exec;
-      exec.site = site;
+      exec.site = st.site;
       exec.now = static_cast<std::int64_t>(virtual_now());
       exec.request = const_cast<http::request*>(&r);
       exec.response = &rendered;
@@ -420,296 +793,74 @@ http::response nakika_node::maybe_render_nkp(const std::string& site, const http
   } catch (const core::request_terminated_signal&) {
     sb->binding()->current = nullptr;
   }
-  if (wc != nullptr) {
-    wc->release(site, sb, poisoned);
-  } else {
-    release_sandbox(site, sb, poisoned);
-  }
+  reclaim_sandbox(st.site, sb, poisoned, st.slot);
+  st.wc->release(st.site, sb, poisoned);
   return rendered;
-}
-
-void nakika_node::fetch_from_origin(const http::request& r,
-                                    std::function<void(http::response, double)> cb) {
-  http_endpoint* origin = resolve_origin_(r.url.host());
-  if (origin == nullptr) {
-    cb(http::make_error_response(502, "cannot resolve " + r.url.host()), 0.0);
-    return;
-  }
-  forward_request(net_, host_, *origin, r,
-                  [cb = std::move(cb)](http::response resp) mutable {
-                    cb(std::move(resp), 0.0);
-                  });
-}
-
-void nakika_node::fetch_resource(const std::string& site, const http::request& r,
-                                 std::function<void(http::response, double)> cb,
-                                 obs::trace_context* trace) {
-  const std::string key = r.url.str();
-  const auto now = static_cast<std::int64_t>(net_.loop().now());
-
-  if (auto hit = content_cache_.get(key, now)) {
-    if (trace != nullptr) trace->flag(obs::span_flag::cache_hit);
-    cb(std::move(*hit), config_.costs.cache_hit_serve);
-    return;
-  }
-  if (trace != nullptr) trace->flag(obs::span_flag::cache_miss);
-
-  auto finish_with = [this, site, r, key, cb, trace](http::response resp) mutable {
-    resp = maybe_render_nkp(site, r, std::move(resp), nullptr, trace);
-    const auto later = static_cast<std::int64_t>(net_.loop().now());
-    const bool stored = content_cache_.put(key, resp, later);
-    if (stored && transport_ != nullptr) {
-      // Advertise our copy: "one cached copy ... is sufficient for avoiding
-      // origin server accesses".
-      const http::freshness f = http::compute_freshness(resp, later);
-      obs::trace_context::scoped advertise_span(trace, obs::stage::advertise);
-      transport_->advertise(key, f.expires_at);
-    }
-    cb(std::move(resp), 0.0);
-  };
-
-  // The overlay is only worth consulting for content that peers could have
-  // cached; query-bearing URLs are dynamic/personalized and go straight to
-  // the origin (as CoralCDN does for uncacheable content).
-  const bool overlay_worthwhile = r.url.query().empty();
-  if (transport_ != nullptr && overlay_worthwhile) {
-    const double peer_begin = trace != nullptr && trace->enabled() ? trace->now() : 0.0;
-    transport_->fetch_from_peers(
-        r, [this, r, finish_with, trace, peer_begin](net::peer_transport::result res) mutable {
-          if (trace != nullptr && trace->enabled()) {
-            trace->add(obs::stage::peer_fetch, trace->now() - peer_begin);
-          }
-          if (res.response) {
-            counters_.add(0, counter_field::peer_hits);
-            if (trace != nullptr) trace->flag(obs::span_flag::peer_hit);
-            finish_with(std::move(*res.response));
-            return;
-          }
-          counters_.add(0, counter_field::peer_misses);
-          const double origin_begin =
-              trace != nullptr && trace->enabled() ? trace->now() : 0.0;
-          fetch_from_origin(r, [finish_with, trace,
-                                origin_begin](http::response resp, double) mutable {
-            if (trace != nullptr && trace->enabled()) {
-              trace->add(obs::stage::origin_fetch, trace->now() - origin_begin);
-              trace->flag(obs::span_flag::origin);
-            }
-            finish_with(std::move(resp));
-          });
-        });
-    return;
-  }
-
-  const double origin_begin = trace != nullptr && trace->enabled() ? trace->now() : 0.0;
-  fetch_from_origin(r, [finish_with, trace, origin_begin](http::response resp,
-                                                          double) mutable {
-    if (trace != nullptr && trace->enabled()) {
-      trace->add(obs::stage::origin_fetch, trace->now() - origin_begin);
-      trace->flag(obs::span_flag::origin);
-    }
-    finish_with(std::move(resp));
-  });
-}
-
-// Synchronous twin of fetch_resource for the worker path: cache, then the
-// single-flight miss path (peer transport, then origin via serve_now). No
-// virtual-delay sleeping — workers burn real time; the transport's virtual
-// network cost is accounted in peer_latency_seconds instead.
-http::response nakika_node::fetch_resource_direct(const std::string& site,
-                                                  const http::request& r,
-                                                  core::worker_context* wc,
-                                                  obs::trace_context* trace) {
-  const std::string key = r.url.str();
-  const auto now = static_cast<std::int64_t>(virtual_now());
-
-  {
-    obs::trace_context::scoped lookup_span(trace, obs::stage::cache_lookup);
-    if (auto hit = content_cache_.get(key, now)) {
-      if (trace != nullptr) trace->flag(obs::span_flag::cache_hit);
-      return std::move(*hit);
-    }
-  }
-  if (trace != nullptr) trace->flag(obs::span_flag::cache_miss);
-
-  // Query-bearing URLs are dynamic/personalized: each request must reach the
-  // origin itself, so they bypass coalescing (same rule as the overlay).
-  if (!r.url.query().empty()) return fetch_miss_direct(site, r, wc, trace);
-
-  bool coalesced = false;
-  const double flight_begin = trace != nullptr && trace->enabled() ? trace->now() : 0.0;
-  http::response out = flights_.run(
-      key, [&] { return fetch_miss_direct(site, r, wc, trace); }, &coalesced);
-  if (coalesced) {
-    const std::size_t slot = wc != nullptr ? wc->index() + 1 : 0;
-    counters_.add(slot, counter_field::coalesced);
-    if (trace != nullptr && trace->enabled()) {
-      // The whole run() was spent blocked on the flight leader.
-      trace->add(obs::stage::coalesced_wait, trace->now() - flight_begin);
-      trace->flag(obs::span_flag::coalesced);
-    }
-  }
-  return out;
-}
-
-http::response nakika_node::fetch_miss_direct(const std::string& site,
-                                              const http::request& r,
-                                              core::worker_context* wc,
-                                              obs::trace_context* trace) {
-  const std::string key = r.url.str();
-  const std::size_t slot = wc != nullptr ? wc->index() + 1 : 0;
-
-  // A flight that completed between our miss and taking leadership may have
-  // filled the cache already; serve that instead of refetching.
-  if (auto hit = content_cache_.get(key, static_cast<std::int64_t>(virtual_now()))) {
-    return std::move(*hit);
-  }
-
-  auto finish_with = [&](http::response resp) {
-    resp = maybe_render_nkp(site, r, std::move(resp), wc, trace);
-    const auto later = static_cast<std::int64_t>(virtual_now());
-    const bool stored = content_cache_.put(key, resp, later);
-    if (stored && transport_ != nullptr) {
-      const http::freshness f = http::compute_freshness(resp, later);
-      obs::trace_context::scoped advertise_span(trace, obs::stage::advertise);
-      transport_->advertise(key, f.expires_at);
-    }
-    return resp;
-  };
-
-  if (transport_ != nullptr && r.url.query().empty()) {
-    net::peer_transport::result res;
-    {
-      obs::trace_context::scoped peer_span(trace, obs::stage::peer_fetch);
-      transport_->fetch_from_peers(
-          r, [&res](net::peer_transport::result found) { res = std::move(found); });
-    }
-    peer_latency_micros_.fetch_add(static_cast<std::uint64_t>(res.latency_seconds * 1e6),
-                                   std::memory_order_relaxed);
-    if (trace != nullptr && trace->enabled()) {
-      // Fold in the transport's accounted virtual network cost (overlay walks
-      // + peer round-trips), which wall time on a worker does not include.
-      trace->add(obs::stage::peer_fetch, res.latency_seconds);
-    }
-    if (res.response) {
-      counters_.add(slot, counter_field::peer_hits);
-      if (trace != nullptr) trace->flag(obs::span_flag::peer_hit);
-      return finish_with(std::move(*res.response));
-    }
-    counters_.add(slot, counter_field::peer_misses);
-  }
-
-  obs::trace_context::scoped origin_span(trace, obs::stage::origin_fetch);
-  if (trace != nullptr) trace->flag(obs::span_flag::origin);
-  auto* origin = dynamic_cast<origin_server*>(resolve_origin_(r.url.host()));
-  if (origin == nullptr) {
-    return http::make_error_response(502, "cannot resolve " + r.url.host());
-  }
-  auto resp = origin->serve_now(r);
-  if (!resp) {
-    return http::make_error_response(502, "origin failure for " + key);
-  }
-  origin_span.stop();
-  return finish_with(std::move(*resp));
 }
 
 // ----- script subrequests (Fetch vocabulary) ----------------------------------------
 
-core::fetch_result nakika_node::sub_fetch(const http::request& r) {
+core::fetch_result nakika_node::sub_fetch(request_state* st, const http::request& r) {
   core::fetch_result out;
   const std::string key = r.url.str();
-  const auto now = static_cast<std::int64_t>(net_.loop().now());
-
-  if (auto hit = content_cache_.get(key, now)) {
+  if (auto hit = content_cache_.get(key, static_cast<std::int64_t>(virtual_now()))) {
     out.ok = true;
     out.response = std::move(*hit);
     out.virtual_delay_seconds = config_.costs.cache_hit_serve;
     return out;
   }
-  // Synchronous origin read with an accounted round-trip delay: scripts see
-  // blocking semantics (per-script user-level threads in the paper) while
-  // the simulator bills the time to the pipeline's completion.
-  http_endpoint* origin = resolve_origin_(r.url.host());
-  auto* concrete = dynamic_cast<origin_server*>(origin);
-  if (concrete == nullptr) {
-    return out;  // unreachable or not a direct origin
-  }
-  double cpu = 0.0;
-  auto resp = concrete->serve_now(r, &cpu);
-  if (!resp) return out;
-  const double rtt = net_.has_route(host_, concrete->host())
-                         ? 2.0 * net_.route_latency(host_, concrete->host())
-                         : 0.0;
-  const double transfer_time =
-      static_cast<double>(http::wire_size(*resp)) / 12.5e6;  // nominal LAN rate
-  out.ok = true;
-  out.response = std::move(*resp);
-  out.virtual_delay_seconds = rtt + cpu + transfer_time;
-  const auto later = static_cast<std::int64_t>(net_.loop().now());
-  content_cache_.put(key, out.response, later);
-  return out;
-}
+  auto* origin = dynamic_cast<origin_server*>(resolve_origin_(r.url.host()));
+  if (origin == nullptr) return out;  // unreachable or not a direct origin
 
-core::fetch_result nakika_node::sub_fetch_direct(const http::request& r,
-                                                 obs::trace_context* trace) {
-  core::fetch_result out;
-  const std::string key = r.url.str();
-  const auto now = static_cast<std::int64_t>(virtual_now());
-
-  if (auto hit = content_cache_.get(key, now)) {
-    out.ok = true;
-    out.response = std::move(*hit);
-    return out;
-  }
-  auto* concrete = dynamic_cast<origin_server*>(resolve_origin_(r.url.host()));
-  if (concrete == nullptr) return out;
-
-  // Failure travels in-band (not as an exception) so a coalesced waiter and
-  // the flight's leader reach the same verdict: both see the marked response
-  // and report ok=false, matching the sim path's "origin produced nothing".
-  auto fetch = [&]() -> http::response {
-    if (auto hit = content_cache_.get(key, static_cast<std::int64_t>(virtual_now()))) {
-      return std::move(*hit);
-    }
-    auto resp = concrete->serve_now(r);
+  // A synchronous origin read in both executors. Failure travels in-band
+  // (not as an exception) so a coalesced waiter and the flight's leader
+  // reach the same verdict: both see the marked response and report
+  // ok=false.
+  const auto fetch = [&](respond next) {
+    double cpu = 0.0;
+    std::optional<http::response> resp = origin->serve_now(r, &cpu);
     if (!resp) {
       http::response err = http::make_error_response(502, "sub-fetch origin failure");
       err.headers.set("X-Nakika-Fetch-Failed", "1");
-      return err;
+      next(std::move(err));
+      return;
     }
+    out.virtual_delay_seconds = exec_->sub_fetch_delay(*origin, *resp, cpu);
     content_cache_.put(key, *resp, static_cast<std::int64_t>(virtual_now()));
-    return std::move(*resp);
+    next(std::move(*resp));
   };
-
+  const double flight_begin = st->tr() != nullptr ? st->trace.now() : 0.0;
+  const auto finish = [&](http::response resp, bool coalesced) {
+    out.response = std::move(resp);
+    if (!coalesced) return;
+    counters_.add(st->slot, counter_field::coalesced);
+    if (obs::trace_context* t = st->tr()) {
+      t->add(obs::stage::coalesced_wait, t->now() - flight_begin);
+      t->flag(obs::span_flag::coalesced);
+    }
+  };
   if (r.url.query().empty()) {
     // Sub-fetches coalesce in their own flight table (never shared with
     // top-level misses, whose leaders additionally render + advertise); a
     // sub-fetch for a URL this worker is already fetching runs directly
     // (leader re-entrancy) instead of deadlocking.
-    bool coalesced = false;
-    const double flight_begin = trace != nullptr && trace->enabled() ? trace->now() : 0.0;
-    out.response = sub_flights_.run(key, fetch, &coalesced);
-    if (coalesced) {
-      counters_.add(0, counter_field::coalesced);
-      if (trace != nullptr && trace->enabled()) {
-        trace->add(obs::stage::coalesced_wait, trace->now() - flight_begin);
-        trace->flag(obs::span_flag::coalesced);
-      }
-    }
+    exec_->coalesce(sub_flights_, key, fetch, finish);
   } else {
-    out.response = fetch();
+    fetch([&finish](http::response resp) { finish(std::move(resp), false); });
   }
   if (out.response.headers.has("X-Nakika-Fetch-Failed")) return out;  // ok stays false
   out.ok = true;
   return out;
 }
 
-// ----- shared per-pipeline accounting ------------------------------------------------
+// ----- per-request accounting -------------------------------------------------------
 
 void nakika_node::account_pipeline(const std::string& site,
                                    const core::pipeline_result& result,
-                                   double elapsed_seconds, std::size_t counter_slot,
-                                   bool record_resources) {
-  if (record_resources) {
+                                   double elapsed_seconds, std::size_t counter_slot) {
+  // With resource controls off nothing reads the usage counters, so skip the
+  // (shared-lock) recording.
+  if (config_.resource_controls) {
     const double response_bytes = static_cast<double>(result.response.body_size());
     const double io_bytes =
         static_cast<double>(result.bytes_read + result.bytes_written) + response_bytes;
@@ -826,287 +977,6 @@ void nakika_node::finish_span(obs::trace_context& trace, std::uint16_t status,
   if (rec.has(nkp)) metrics_.add(slot, ids_.out_nkp);
 
   spans_.push(slot, std::move(rec));
-}
-
-// ----- request handling ---------------------------------------------------------------
-
-void nakika_node::handle(const http::request& original,
-                         std::function<void(http::response)> done) {
-  if (pool_ != nullptr) {
-    // Worker mode: enqueue onto the bounded MPMC queue; a full queue is the
-    // backpressure signal and rejects immediately on the caller's thread.
-    auto done_shared =
-        std::make_shared<std::function<void(http::response)>>(std::move(done));
-    // Affinity by site: one site's requests prefer one worker's ring, so its
-    // sandbox reuse and cache lines stay warm; stealing rebalances skew.
-    const std::uint64_t affinity = std::hash<std::string>{}(original.url.site());
-    const bool accepted = pool_->try_submit(
-        [this, r = original, done_shared](core::worker_context& wc) {
-          execute_on_worker(r, wc, *done_shared);
-        },
-        affinity);
-    if (!accepted) {
-      counters_.add(0, counter_field::offered);
-      counters_.add(0, counter_field::rejected);
-      (*done_shared)(http::make_error_response(503, "server busy (queue full)"));
-    }
-    return;
-  }
-
-  counters_.add(0, counter_field::offered);
-
-  http::request r = original;
-  if (overlay::is_nakika_host(r.url.host())) {
-    r.url.set_host(overlay::from_nakika_host(r.url.host()));
-  }
-  const std::string site = r.url.site();
-
-  if (config_.resource_controls && !resources_.admit(site, rng_, net_.loop().now())) {
-    // Throttled rejection is a shared-memory flag check in the paper's
-    // implementation — far cheaper than full request processing.
-    counters_.add(0, counter_field::throttled);
-    if (config_.telemetry) {
-      obs::trace_context trace(trace_clock, this);
-      trace.record().site = site;
-      trace.record().path = r.url.path();
-      trace.record().start = trace.now();
-      trace.flag(obs::span_flag::throttled);
-      finish_span(trace, 503, 0.0, /*slot=*/0);
-    }
-    net_.run_cpu(host_, 0.0001, [done = std::move(done)]() mutable {
-      done(http::make_error_response(503, "server busy (throttled)"));
-    });
-    return;
-  }
-
-  if (!config_.scripting) {
-    // DHT-only mode: cache + cooperative lookup, no scripting pipeline.
-    net_.run_cpu(host_, config_.costs.proxy_overhead,
-                 [this, site, r, done = std::move(done)]() mutable {
-                   fetch_resource(site, r, [this, done = std::move(done)](
-                                               http::response resp, double cpu) mutable {
-                     counters_.add(0, counter_field::completed);
-                     net_.run_cpu(host_, cpu + config_.costs.dht_processing,
-                                  [done = std::move(done), resp = std::move(resp)]() mutable {
-                                    done(std::move(resp));
-                                  });
-                   });
-                 });
-    return;
-  }
-
-  double setup_cpu = config_.costs.proxy_overhead;
-  core::sandbox* sb = acquire_sandbox(site, setup_cpu);
-  resources_.pipeline_started(site, sb->kill_flag());
-
-  // The trace rides the sim path's async callbacks via shared_ptr; its clock
-  // is virtual time, so spans are deterministic for a fixed seed.
-  std::shared_ptr<obs::trace_context> trace;
-  if (config_.telemetry) {
-    trace = std::make_shared<obs::trace_context>(trace_clock, this);
-    trace->record().site = site;
-    trace->record().path = r.url.path();
-    trace->record().start = trace->now();
-  }
-
-  core::exec_state base;
-  base.site = site;
-  base.local_specs = config_.local_specs;
-  base.now = static_cast<std::int64_t>(net_.loop().now());
-  base.http_cache = &content_cache_;
-  base.store = &store_;
-  const auto rep = replicas_.find(site);
-  base.replica = rep == replicas_.end() ? nullptr : rep->second;
-  base.fetch = [this](const http::request& sub) { return sub_fetch(sub); };
-  base.resources = resources_.view_for(site);
-  base.trace = trace.get();
-
-  const std::string site_script_url = site + "/nakika.js";
-  const double start_time = net_.loop().now();
-
-  pipeline_.execute(
-      std::move(r), *sb, site_script_url,
-      [this](const std::string& url, std::function<void(core::stage_fetch_result)> cb) {
-        load_stage_script(url, std::move(cb));
-      },
-      [this, site, trace](const http::request& req,
-                          std::function<void(http::response, double)> cb) {
-        fetch_resource(site, req, std::move(cb), trace.get());
-      },
-      std::move(base),
-      [this, site, sb, setup_cpu, start_time, trace,
-       done = std::move(done)](core::pipeline_result result) mutable {
-        resources_.pipeline_finished(site, sb->kill_flag());
-        const bool poisoned = result.terminated || result.failed;
-        const js::gc_cycle_result pool_gc = release_sandbox(site, sb, poisoned);
-
-        const double elapsed = net_.loop().now() - start_time;
-        account_pipeline(site, result, elapsed, /*counter_slot=*/0,
-                         /*record_resources=*/true);
-        if (trace != nullptr) {
-          const double gc_span = result.gc_seconds + pool_gc.seconds;
-          if (gc_span > 0.0) trace->add(obs::stage::gc, gc_span);
-          if (result.terminated) trace->flag(obs::span_flag::terminated);
-          else if (result.failed) trace->flag(obs::span_flag::failed);
-          finish_span(*trace, static_cast<std::uint16_t>(result.response.status), elapsed,
-                      /*slot=*/0);
-        }
-
-        note_churn(static_cast<double>(result.heap_bytes));
-        const double cpu = (setup_cpu + result.script_cpu_seconds +
-                            config_.stage_overhead * result.stages_executed) *
-                           thrash_factor();
-        const double extra_delay = result.virtual_delay_seconds;
-        net_.run_cpu(host_, cpu, [this, extra_delay, done = std::move(done),
-                                  resp = std::move(result.response)]() mutable {
-          if (extra_delay > 0) {
-            net_.loop().schedule(extra_delay,
-                                 [done = std::move(done), resp = std::move(resp)]() mutable {
-                                   done(std::move(resp));
-                                 });
-          } else {
-            done(std::move(resp));
-          }
-        });
-      });
-}
-
-// Worker-mode request execution: the synchronous pipeline run on a pool
-// thread. Stage loads and resource fetches resolve immediately (the pipeline
-// executor composes with immediate callbacks), so the whole request completes
-// before this function returns and `done` fires on the worker thread.
-void nakika_node::execute_on_worker(http::request r, core::worker_context& wc,
-                                    std::function<void(http::response)> done) {
-  const std::size_t slot = wc.index() + 1;
-  counters_.add(slot, counter_field::offered);
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  if (overlay::is_nakika_host(r.url.host())) {
-    r.url.set_host(overlay::from_nakika_host(r.url.host()));
-  }
-  const std::string site = r.url.site();
-
-  // Span sampling (node_config::trace_sample_every): every Nth request per
-  // worker gets the full trace — per-stage TSC stamps plus a span-ring
-  // entry. The rest still land in the end-to-end latency histogram below,
-  // which reuses `wall_start` (taken anyway for billing), so p50/p99/p999
-  // stay exact per request while the per-span cost is amortized 1/N.
-  bool sampled = false;
-  if (config_.telemetry) {
-    sampled = config_.trace_sample_every <= 1 ||
-              (trace_decim_[wc.index()].n++ % config_.trace_sample_every) == 0;
-  }
-  // Stack-allocated: the worker path is fully synchronous, so the span lives
-  // exactly as long as the request.
-  obs::trace_context trace =
-      sampled ? obs::trace_context(trace_clock, this) : obs::trace_context();
-  obs::trace_context* const tr = trace.enabled() ? &trace : nullptr;
-  if (tr != nullptr) {
-    trace.record().site = site;
-    trace.record().path = r.url.path();
-    trace.record().start = trace.now();
-  }
-
-  if (config_.resource_controls && !resources_.admit(site, wc.rng(), virtual_now())) {
-    counters_.add(slot, counter_field::throttled);
-    if (tr != nullptr) {
-      trace.flag(obs::span_flag::throttled);
-      finish_span(trace, 503, seconds_since(wall_start), slot);
-    } else if (config_.telemetry) {
-      record_total_latency(slot, seconds_since(wall_start));
-    }
-    done(http::make_error_response(503, "server busy (throttled)"));
-    return;
-  }
-
-  core::sandbox* sb = nullptr;
-  bool finished = false;
-  try {
-    if (!config_.scripting) {
-      http::response resp = fetch_resource_direct(site, r, &wc, tr);
-      counters_.add(slot, counter_field::completed);
-      if (tr != nullptr) {
-        finish_span(trace, static_cast<std::uint16_t>(resp.status),
-                    seconds_since(wall_start), slot);
-      } else if (config_.telemetry) {
-        record_total_latency(slot, seconds_since(wall_start));
-      }
-      finished = true;
-      done(std::move(resp));
-      return;
-    }
-
-    sb = wc.acquire(site, config_.script_limits, config_.script_engine, &chunk_cache_,
-                    nullptr);
-    resources_.pipeline_started(site, sb->kill_flag());
-
-    core::exec_state base;
-    base.site = site;
-    base.local_specs = config_.local_specs;
-    base.now = static_cast<std::int64_t>(virtual_now());
-    base.http_cache = &content_cache_;
-    base.store = &store_;
-    // replicas_ is wired at deployment time, before serving starts.
-    const auto rep = replicas_.find(site);
-    base.replica = rep == replicas_.end() ? nullptr : rep->second;
-    base.fetch = [this, tr](const http::request& sub) { return sub_fetch_direct(sub, tr); };
-    base.resources = resources_.view_for(site);
-    base.trace = tr;
-
-    const std::string site_script_url = site + "/nakika.js";
-
-    // The loaders below resolve synchronously, so the completion lambda runs
-    // before execute() returns; `done` is captured by value so the callback
-    // owns everything it touches except the long-lived wc/node state.
-    pipeline_.execute(
-        std::move(r), *sb, site_script_url,
-        [this](const std::string& url, std::function<void(core::stage_fetch_result)> cb) {
-          cb(load_stage_script_direct(url));
-        },
-        [this, site, &wc, tr](const http::request& req,
-                              std::function<void(http::response, double)> cb) {
-          cb(fetch_resource_direct(site, req, &wc, tr), 0.0);
-        },
-        std::move(base),
-        [this, site, sb, slot, &wc, wall_start, done, &finished, tr](
-            core::pipeline_result result) {
-          resources_.pipeline_finished(site, sb->kill_flag());
-          const bool poisoned = result.terminated || result.failed;
-          const js::gc_cycle_result pool_gc =
-              reclaim_sandbox(site, sb, poisoned, slot, config_.resource_controls);
-          wc.release(site, sb, poisoned);
-          const double elapsed = seconds_since(wall_start);
-          // With resource controls off nothing reads the usage counters, so
-          // skip the (shared-lock) recording on the fast path.
-          account_pipeline(site, result, elapsed, slot,
-                           /*record_resources=*/config_.resource_controls);
-          if (tr != nullptr) {
-            const double gc_span = result.gc_seconds + pool_gc.seconds;
-            if (gc_span > 0.0) tr->add(obs::stage::gc, gc_span);
-            if (result.terminated) tr->flag(obs::span_flag::terminated);
-            else if (result.failed) tr->flag(obs::span_flag::failed);
-            finish_span(*tr, static_cast<std::uint16_t>(result.response.status),
-                        elapsed, slot);
-          } else if (config_.telemetry) {
-            record_total_latency(slot, elapsed);
-          }
-          finished = true;
-          done(std::move(result.response));
-        });
-  } catch (...) {
-    // The pipeline itself converts script failures into responses; landing
-    // here means host code threw (an origin handler, allocation failure).
-    // The request must still be answered and the sandbox/registration must
-    // not leak. A throw from `done` after completion is not ours to answer —
-    // rethrow so the pool's backstop counts it.
-    if (finished) throw;
-    if (sb != nullptr) {
-      resources_.pipeline_finished(site, sb->kill_flag());
-      wc.release(site, sb, /*poisoned=*/true);
-    }
-    counters_.add(slot, counter_field::failed);
-    done(http::make_error_response(500, "internal error on worker"));
-  }
 }
 
 // ----- telemetry export --------------------------------------------------------------
@@ -1234,25 +1104,6 @@ obs::telemetry_snapshot nakika_node::telemetry() const {
   return snap;
 }
 
-// ----- memory-pressure model ---------------------------------------------------------
-
-void nakika_node::note_churn(double bytes) {
-  const double now = net_.loop().now();
-  constexpr double window = 0.25;  // seconds
-  if (now - churn_window_start_ >= window) {
-    churn_rate_ = churn_window_bytes_ / std::max(window, now - churn_window_start_);
-    churn_window_start_ = now;
-    churn_window_bytes_ = 0.0;
-  }
-  churn_window_bytes_ += bytes;
-}
-
-double nakika_node::thrash_factor() const {
-  const double capacity = config_.capacities.memory_bytes_per_second;
-  if (capacity <= 0 || churn_rate_ <= capacity) return 1.0;
-  return std::min(churn_rate_ / capacity, 64.0);
-}
-
 // ----- resource-control monitor ----------------------------------------------------
 
 void nakika_node::start_monitor() {
@@ -1265,64 +1116,54 @@ void nakika_node::start_monitor() {
     monitor_thread_ = std::thread([this] { monitor_main(); });
     return;
   }
-  monitor_tick(0);
+  monitor_tick();
 }
 
-void nakika_node::monitor_tick(std::size_t /*kind_index*/) {
+void nakika_node::control_round(const std::function<void(std::function<void()>)>& wait) {
   // CONTROL runs for every tracked resource each cycle: phase 1, wait the
   // control timeout ("note that our implementation does not block but
-  // rather polls"), then phase 2.
-  net_.loop().schedule(config_.control_interval, [this]() {
-    // Housekeeping alongside the resource sweep: drop expired script sources
-    // and negative verdicts so they don't sit resident until capacity
-    // eviction happens to pick them.
-    const auto now = static_cast<std::int64_t>(net_.loop().now());
-    script_cache_.purge_expired(now);
-    no_script_.purge_expired(now);
+  // rather polls"), then phase 2. Housekeeping rides along: expired script
+  // sources and negative verdicts are dropped so they don't sit resident
+  // until capacity eviction happens to pick them.
+  const double now = virtual_now();
+  script_cache_.purge_expired(static_cast<std::int64_t>(now));
+  no_script_.purge_expired(static_cast<std::int64_t>(now));
+  for (std::size_t k = 0; k < core::resource_kind_count; ++k) {
+    resources_.control_phase1(static_cast<core::resource_kind>(k), now);
+  }
+  wait([this] {
     for (std::size_t k = 0; k < core::resource_kind_count; ++k) {
-      resources_.control_phase1(static_cast<core::resource_kind>(k), net_.loop().now());
-    }
-    net_.loop().schedule(config_.control_timeout, [this]() {
-      for (std::size_t k = 0; k < core::resource_kind_count; ++k) {
-        const core::control_outcome outcome = resources_.control_phase2(
-            static_cast<core::resource_kind>(k), net_.loop().now());
-        if (!outcome.terminated_site.empty()) {
-          NAKIKA_LOG(info, "monitor")
-              << "terminated pipelines of " << outcome.terminated_site;
-        }
+      const core::control_outcome outcome =
+          resources_.control_phase2(static_cast<core::resource_kind>(k), virtual_now());
+      if (!outcome.terminated_site.empty()) {
+        NAKIKA_LOG(info, "monitor") << "terminated pipelines of " << outcome.terminated_site;
       }
-      monitor_tick(0);
+    }
+  });
+}
+
+void nakika_node::monitor_tick() {
+  net_.loop().schedule(config_.control_interval, [this] {
+    control_round([this](std::function<void()> phase2) {
+      net_.loop().schedule(config_.control_timeout, [this, phase2 = std::move(phase2)] {
+        phase2();
+        monitor_tick();
+      });
     });
   });
 }
 
 void nakika_node::monitor_main() {
-  const auto interval =
-      std::chrono::duration<double>(std::max(config_.control_interval, 1e-3));
-  const auto timeout =
-      std::chrono::duration<double>(std::max(config_.control_timeout, 1e-3));
-  std::unique_lock<std::mutex> lock(monitor_mu_);
-  while (!monitor_stop_) {
-    if (monitor_cv_.wait_for(lock, interval, [this] { return monitor_stop_; })) return;
-    lock.unlock();
-    const auto now_epoch = static_cast<std::int64_t>(virtual_now());
-    script_cache_.purge_expired(now_epoch);
-    no_script_.purge_expired(now_epoch);
-    for (std::size_t k = 0; k < core::resource_kind_count; ++k) {
-      resources_.control_phase1(static_cast<core::resource_kind>(k), virtual_now());
-    }
-    lock.lock();
-    if (monitor_cv_.wait_for(lock, timeout, [this] { return monitor_stop_; })) return;
-    lock.unlock();
-    for (std::size_t k = 0; k < core::resource_kind_count; ++k) {
-      const core::control_outcome outcome =
-          resources_.control_phase2(static_cast<core::resource_kind>(k), virtual_now());
-      if (!outcome.terminated_site.empty()) {
-        NAKIKA_LOG(info, "monitor")
-            << "terminated pipelines of " << outcome.terminated_site;
-      }
-    }
-    lock.lock();
+  // Sleeps unless the node stops first; false means stop.
+  const auto sleep = [this](double seconds) {
+    std::unique_lock<std::mutex> lock(monitor_mu_);
+    return !monitor_cv_.wait_for(lock, std::chrono::duration<double>(std::max(seconds, 1e-3)),
+                                 [this] { return monitor_stop_; });
+  };
+  while (sleep(config_.control_interval)) {
+    control_round([&](const std::function<void()>& phase2) {
+      if (sleep(config_.control_timeout)) phase2();
+    });
   }
 }
 

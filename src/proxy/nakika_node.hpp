@@ -6,7 +6,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -43,10 +42,6 @@ struct node_config {
   core::resource_capacities capacities;
   js::context_limits script_limits;
 
-  // Script execution engine. The bytecode VM is the production path; the
-  // tree-walker remains selectable as the reference oracle (differential
-  // testing, debugging suspected VM issues).
-  js::engine_kind script_engine = js::engine_kind::bytecode;
   // Compiled-chunk cache (content-hash keyed, shared across the node's
   // sandbox pools): entries, not bytes — chunks are small relative to bodies.
   std::size_t chunk_cache_entries = 512;
@@ -108,11 +103,11 @@ struct node_config {
   bool telemetry = true;
   // Worker-mode span sampling: every Nth request per worker gets a full
   // trace (per-stage stamps + a span-ring entry); the rest still land in the
-  // end-to-end latency histogram, which reuses the wall-clock elapsed time
-  // already measured for billing and so stays exact per request. The sim
-  // path (workers = 0) ignores this and traces every request — its clock is
-  // the event loop's virtual time, so full fidelity is free and
-  // deterministic there. 1 traces everything in worker mode too.
+  // end-to-end latency histogram, which reuses the elapsed time already
+  // measured for billing and so stays exact per request. With workers = 0
+  // every request is traced — the clock is the event loop's virtual time,
+  // so full fidelity is free and deterministic there. 1 traces everything
+  // in worker mode too.
   std::size_t trace_sample_every = 16;
   // Finished spans retained per worker slot (oldest dropped, drops counted).
   std::size_t span_ring_capacity = 256;
@@ -121,16 +116,17 @@ struct node_config {
   std::size_t site_log_capacity = 256;
 
   // --- multi-worker execution -------------------------------------------------
-  // 0 (default): the deterministic single-threaded path driven by the sim
-  // event loop — every experiment and fixed-seed run behaves exactly as
-  // before. N > 0: the node runs N OS threads, each with a private sandbox
-  // pool and RNG, pulling requests from a bounded MPMC queue; handle() then
-  // executes pipelines synchronously on worker threads (real wall-clock
-  // accounting, no virtual delays) and completion callbacks fire on those
-  // threads. Worker mode requires a thread-safe resolve_origin; attach a
-  // threaded_peer_transport (deployment does this automatically when the
-  // overlay is enabled) for multi-node cooperative caching. Configure
-  // walls/content before the first request.
+  // Picks the executor the one request body runs on. 0 (default): the
+  // caller's thread, with every wait (fetch, CPU bill) an event on the sim
+  // loop — deterministic virtual time, which every experiment and fixed-seed
+  // run relies on. N > 0: N OS threads, each with a private sandbox pool and
+  // RNG, pull requests from a bounded queue and run the same body
+  // synchronously (real wall-clock accounting, no virtual delays);
+  // completion callbacks fire on those threads. Worker mode requires a
+  // thread-safe resolve_origin that resolves to origin_server instances;
+  // attach a threaded_peer_transport (deployment does this automatically
+  // when the overlay is enabled) for multi-node cooperative caching.
+  // Configure walls/content before the first request.
   std::size_t workers = 0;
   // Queue bound; a full queue rejects with 503 "server busy" (the paper's
   // congestion signal applied to admission, counters().rejected counts them).
@@ -175,7 +171,8 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
   [[nodiscard]] state::local_store& store() { return store_; }
 
   // --- resource controls ---
-  // Starts the periodic monitor (schedules itself on the event loop).
+  // Starts the periodic CONTROL monitor: on the event loop with workers = 0,
+  // on a background thread in worker mode.
   void start_monitor();
   [[nodiscard]] core::resource_manager& resources() { return resources_; }
 
@@ -187,6 +184,10 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
   // workers are serving (and cheap: a handful of relaxed loads per slot).
   [[nodiscard]] cache::http_cache& content_cache() { return content_cache_; }
   [[nodiscard]] util::run_counters counters() const { return counters_.snapshot(); }
+  // One slot's share: slot 0 is the caller thread's, slot w + 1 worker w's.
+  [[nodiscard]] util::run_counters counters(std::size_t slot) const {
+    return counters_.snapshot(slot);
+  }
   [[nodiscard]] std::vector<std::string> site_log(const std::string& site) const;
   [[nodiscard]] const node_config& config() const { return config_; }
   [[nodiscard]] std::size_t sandboxes_created() const;
@@ -281,76 +282,77 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
     std::string source;
     std::uint64_t version = 0;
   };
+  using respond = std::function<void(http::response)>;
 
-  core::sandbox* acquire_sandbox(const std::string& site, double& cpu_cost);
-  js::gc_cycle_result release_sandbox(const std::string& site, core::sandbox* sb,
-                                      bool poisoned);
+  // One request's trip through the node (nakika_node.cpp): handle()
+  // allocates it, every continuation of the request body carries it, and
+  // answer() frees it once the client has its response.
+  struct request_state;
+  // The sim/worker seam: everything the request body does differently on
+  // the event loop (workers = 0) and on a pool thread — clocks, CPU
+  // billing, origin access, miss coalescing, sub-fetch delay. Exactly two
+  // implementations, sim_executor and worker_executor (nakika_node.cpp).
+  class executor;
+  class sim_executor;
+  class worker_executor;
+
+  // The request body, in continuation style: each step that may wait
+  // continues through a callback, which the sim executor fires from the
+  // event loop and the worker executor before the call returns. `slot` is
+  // wc's metrics/counter slot.
+  void run(request_state* st, core::worker_context& wc, std::size_t slot);
+  void run_pipeline(request_state* st);
+  void finish_pipeline(request_state* st, core::pipeline_result result);
+  // Sends st->response to the client and frees the request.
+  void answer(request_state* st);
+  // Seals the request's latency: its span when sampled, otherwise only the
+  // end-to-end histogram.
+  void record_latency(request_state& st, int status, double elapsed_seconds);
+
   // Pool-return reclamation with attribution: runs the sandbox's cycle
   // collection, bills the GC time to `site` through the resource manager
-  // (when `record_resources`), and folds the collection into gc counters,
-  // the gc_pause histogram, and the per-site accumulators at `slot`. Shared
-  // by the sim path (release_sandbox) and the worker path (which returns the
-  // sandbox to its worker-private pool afterwards).
+  // (when resource controls are on), and folds the collection into gc
+  // counters, the gc_pause histogram, and the per-site accumulators at
+  // `slot`. The caller returns the sandbox to its worker_context afterwards.
   js::gc_cycle_result reclaim_sandbox(const std::string& site, core::sandbox* sb,
-                                      bool poisoned, std::size_t slot,
-                                      bool record_resources);
+                                      bool poisoned, std::size_t slot);
 
+  // Stage scripts: walls from configuration, then the negative, script and
+  // content caches, then the origin (whose verdict is cached in turn).
   void load_stage_script(const std::string& url,
                          std::function<void(core::stage_fetch_result)> cb);
-  // Shared cache discipline for stage scripts (sim + worker paths): probe
-  // walls/negative/script/content caches — nullopt means an origin fetch is
-  // required — and store a fetched response (or negative verdict) afterwards.
-  std::optional<core::stage_fetch_result> probe_stage_script(const std::string& url,
-                                                             std::int64_t now);
-  core::stage_fetch_result finish_stage_script_fetch(const std::string& url,
-                                                     http::response* resp,
-                                                     std::int64_t later);
-  void fetch_resource(const std::string& site, const http::request& r,
-                      std::function<void(http::response, double)> cb,
-                      obs::trace_context* trace = nullptr);
-  void fetch_from_origin(const http::request& r,
-                         std::function<void(http::response, double)> cb);
-  http::response maybe_render_nkp(const std::string& site, const http::request& r,
-                                  http::response resp, core::worker_context* wc,
-                                  obs::trace_context* trace = nullptr);
-  core::fetch_result sub_fetch(const http::request& r);
-  void monitor_tick(std::size_t kind_index);
+  // The request's resource: content cache, then (under miss coalescing)
+  // fetch_miss. `cb` gets the response and the cost-model delay it owes.
+  void fetch_resource(request_state* st, const http::request& r,
+                      std::function<void(http::response, double)> cb);
+  // The miss side: peer transport first (when attached and the URL is
+  // cacheable), then the origin. `r` outlives the fetch: it is the request
+  // state's or the pipeline's own request, which the continuation chain
+  // keeps alive.
+  void fetch_miss(request_state* st, const http::request& r, respond next);
+  void fetch_origin(request_state* st, const http::request& r, respond next);
+  // Renders a fetched NKP page, caches and advertises the result, continues.
+  void store_fetched(request_state* st, const http::request& r, http::response resp,
+                     respond next);
+  http::response maybe_render_nkp(request_state& st, const http::request& r,
+                                  http::response resp);
+  core::fetch_result sub_fetch(request_state* st, const http::request& r);
 
-  // --- worker-mode request path (synchronous, runs on pool threads) ---
-  // The stage loader / resource fetcher / monitor equivalents of the sim
-  // path, with origin access through origin_server::serve_now instead of the
-  // event loop. Every piece of node state they touch is locked or sharded.
-  void execute_on_worker(http::request r, core::worker_context& wc,
-                         std::function<void(http::response)> done);
-  core::stage_fetch_result load_stage_script_direct(const std::string& url);
-  http::response fetch_resource_direct(const std::string& site, const http::request& r,
-                                       core::worker_context* wc,
-                                       obs::trace_context* trace = nullptr);
-  // The miss side of fetch_resource_direct, run under single-flight: peer
-  // transport first (when attached), then origin via serve_now.
-  http::response fetch_miss_direct(const std::string& site, const http::request& r,
-                                   core::worker_context* wc,
-                                   obs::trace_context* trace = nullptr);
-  core::fetch_result sub_fetch_direct(const http::request& r,
-                                      obs::trace_context* trace = nullptr);
+  // One CONTROL round over every resource: phase 1, then `wait` runs phase
+  // 2 after the control timeout. The two schedulers below drive it.
+  void control_round(const std::function<void(std::function<void()>)>& wait);
+  void monitor_tick();  // event-loop scheduler (workers = 0)
   void monitor_main();  // background CONTROL thread (worker mode)
+
   // Merges one pipeline's outcome into counters/resources/the metrics
-  // registry; shared between the sim completion callback and the worker path.
+  // registry at `counter_slot`.
   void account_pipeline(const std::string& site, const core::pipeline_result& result,
-                        double elapsed_seconds, std::size_t counter_slot,
-                        bool record_resources);
+                        double elapsed_seconds, std::size_t counter_slot);
   // Seals a request's trace span: records the total + per-stage histograms at
   // `slot`, bumps outcome counters from the span's flags, pushes it into the
   // span ring. `status` is the response code sent to the client.
   void finish_span(obs::trace_context& trace, std::uint16_t status, double total_seconds,
                    std::size_t slot);
-  // The non-sampled fast path: only the end-to-end latency histogram, from
-  // the elapsed time the worker measured for billing anyway (no extra clock
-  // reads, no span record).
-  void record_total_latency(std::size_t slot, double seconds) {
-    metrics_.record_seconds(slot, ids_.stage_hist[static_cast<std::size_t>(obs::stage::total)],
-                            seconds);
-  }
   // Registers the node's counters/histograms (setup-time, before workers).
   void register_metrics();
 
@@ -368,19 +370,21 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
   state::local_store store_;
   std::map<std::string, state::replica*> replicas_;
 
-  // Sandbox pool per site (sim path only; workers own private pools): paper
-  // isolates pipelines and reuses contexts.
-  core::sandbox_pool sandbox_pool_;
+  // The caller thread's context (slot 0): sandbox pools (the paper isolates
+  // pipelines and reuses contexts) and the admission RNG of every request
+  // run inline, i.e. with workers = 0. Pool workers own their own.
+  core::worker_context caller_;
 
   // Cooperative caching: the transport encapsulates overlay membership and
   // how peer copies travel (virtual-time sim events vs direct cross-thread
   // calls). Null until attached; the miss path then goes straight to origin.
   std::unique_ptr<net::peer_transport> transport_;
-  // Single-flight tables for worker-mode misses: concurrent requests for one
-  // URL collapse onto one upstream (peer or origin) fetch. Top-level misses
-  // and script sub-fetches coalesce separately — a top-level leader renders
-  // NKP pages and advertises its copy, a sub-fetch leader must not — so a
-  // waiter never receives a response that skipped its path's side effects.
+  // Single-flight tables for misses (only worker mode has concurrent ones to
+  // collapse): concurrent requests for one URL share one upstream (peer or
+  // origin) fetch. Top-level misses and script sub-fetches coalesce
+  // separately — a top-level leader renders NKP pages and advertises its
+  // copy, a sub-fetch leader must not — so a waiter never receives a
+  // response that skipped its path's side effects.
   net::single_flight flights_;
   net::single_flight sub_flights_;
   std::atomic<std::uint64_t> peer_latency_micros_{0};
@@ -442,16 +446,16 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
     std::deque<std::string> log;  // bounded by config.site_log_capacity
   };
   obs::per_worker_keyed<site_obs> site_obs_;
-  // Span-sampling decimation counters, one per worker (see
-  // node_config::trace_sample_every). Slot-private single-writer state —
-  // only the owning worker ever touches its element — so plain integers.
+  // Span-sampling decimation counters, one per slot (see
+  // node_config::trace_sample_every, which sets trace_every_ in worker
+  // mode). Slot-private single-writer state, so plain integers.
   struct alignas(64) trace_decim {
     std::uint64_t n = 0;
   };
   std::vector<trace_decim> trace_decim_;
-  // Slot 0 = sim/caller thread, slot w+1 = worker w.
+  std::size_t trace_every_;
+  // Slot 0 = caller thread, slot w+1 = worker w.
   util::sharded_run_counters counters_;
-  util::rng rng_;
   std::atomic<std::uint64_t> next_script_version_{1};
   bool monitor_running_ = false;
 
@@ -461,19 +465,8 @@ class nakika_node : public http_endpoint, public net::peer_endpoint {
   std::mutex monitor_mu_;
   std::condition_variable monitor_cv_;
   bool monitor_stop_ = false;
-  std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
-  double trace_epoch_ = obs::fast_clock::now_seconds();  // trace_now()'s zero point
 
-  // Memory-pressure model: when script allocation churn exceeds the node's
-  // memory capacity (possible only when per-context limits are disabled and
-  // the monitor has not intervened), every request slows down — the
-  // simulator's stand-in for swap/GC thrashing on a real host. The factor is
-  // the overcommit ratio over a sliding window.
-  [[nodiscard]] double thrash_factor() const;
-  void note_churn(double bytes);
-  double churn_window_start_ = 0.0;
-  double churn_window_bytes_ = 0.0;
-  double churn_rate_ = 0.0;  // bytes/second over the last window
+  std::unique_ptr<executor> exec_;
 };
 
 }  // namespace nakika::proxy

@@ -111,25 +111,9 @@ class sharded_run_counters {
     slots_[slot].v[static_cast<std::size_t>(f)].fetch_add(n, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] run_counters snapshot() const {
-    std::array<std::size_t, field_count> sum{};
-    for (const auto& s : slots_) {
-      for (std::size_t i = 0; i < field_count; ++i) {
-        sum[i] += s.v[i].load(std::memory_order_relaxed);
-      }
-    }
-    run_counters out;
-    out.offered = sum[0];
-    out.completed = sum[1];
-    out.throttled = sum[2];
-    out.terminated = sum[3];
-    out.failed = sum[4];
-    out.rejected = sum[5];
-    out.peer_hits = sum[6];
-    out.peer_misses = sum[7];
-    out.coalesced = sum[8];
-    return out;
-  }
+  [[nodiscard]] run_counters snapshot() const { return sum(0, slots_.size()); }
+  // One slot's counters alone (which thread did the counting).
+  [[nodiscard]] run_counters snapshot(std::size_t slot) const { return sum(slot, slot + 1); }
 
   [[nodiscard]] std::size_t slots() const { return slots_.size(); }
 
@@ -137,6 +121,27 @@ class sharded_run_counters {
   struct alignas(64) slot_counters {
     std::array<std::atomic<std::size_t>, field_count> v{};
   };
+
+  [[nodiscard]] run_counters sum(std::size_t begin, std::size_t end) const {
+    std::array<std::size_t, field_count> v{};
+    for (std::size_t s = begin; s < end; ++s) {
+      for (std::size_t i = 0; i < field_count; ++i) {
+        v[i] += slots_[s].v[i].load(std::memory_order_relaxed);
+      }
+    }
+    run_counters out;
+    out.offered = v[0];
+    out.completed = v[1];
+    out.throttled = v[2];
+    out.terminated = v[3];
+    out.failed = v[4];
+    out.rejected = v[5];
+    out.peer_hits = v[6];
+    out.peer_misses = v[7];
+    out.coalesced = v[8];
+    return out;
+  }
+
   std::vector<slot_counters> slots_;
 };
 

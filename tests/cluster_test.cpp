@@ -288,6 +288,53 @@ TEST(WorkerCluster, SingleFlightCollapsesConcurrentMissesToOneOriginFetch) {
   EXPECT_EQ(c.completed, k_burst);
 }
 
+// A script sub-fetch that parks on another worker's flight is counted in the
+// waiting request's own worker slot, never in slot 0 (the caller thread's).
+TEST(WorkerCluster, CoalescedSubFetchesCountInTheirWorkersSlot) {
+  cluster_env env(1, /*workers=*/2);
+  env.dep->map_host("subs.org", *env.origin);
+  env.origin->add_dynamic("slow.org", "/shared", [](const http::request&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    origin_server::dynamic_result out;
+    out.response = http::make_response(200, "text/plain", util::make_body("shared"));
+    out.response.headers.set("Cache-Control", "max-age=3600");
+    return out;
+  });
+  env.origin->add_static_text("subs.org", "/nakika.js", "application/javascript", R"JS(
+    var p = new Policy();
+    p.url = [ "subs.org" ];
+    p.onResponse = function () {
+      Response.setHeader("X-Sub", Fetch.fetch("http://slow.org/shared").body.toString());
+    };
+    p.register();
+  )JS",
+                              3600);
+
+  constexpr std::size_t k_requests = 4;
+  for (std::size_t i = 0; i < k_requests; ++i) {
+    env.origin->add_static_text("subs.org", "/p" + std::to_string(i), "text/plain", "page",
+                                3600);
+  }
+  std::atomic<std::size_t> good{0};
+  for (std::size_t i = 0; i < k_requests; ++i) {
+    http::request r;
+    r.url = http::url::parse("http://subs.org/p" + std::to_string(i));
+    r.client_ip = "10.0.0.1";
+    env.nodes[0]->handle(r, [&](http::response resp) {
+      if (resp.status == 200 && resp.headers.get("X-Sub") == "shared") good.fetch_add(1);
+    });
+  }
+  env.nodes[0]->drain();
+  EXPECT_EQ(good.load(), k_requests);
+
+  const util::run_counters all = env.nodes[0]->counters();
+  ASSERT_GE(all.coalesced, 1u) << "with 2 workers and a 250 ms origin, a sub-fetch "
+                                  "must have parked on the other worker's flight";
+  EXPECT_EQ(env.nodes[0]->counters(0).coalesced, 0u);
+  EXPECT_EQ(env.nodes[0]->counters(1).coalesced + env.nodes[0]->counters(2).coalesced,
+            all.coalesced);
+}
+
 // Query-bearing URLs are personalized: they must bypass coalescing and each
 // reach the origin.
 TEST(WorkerCluster, QueryUrlsBypassCoalescing) {

@@ -311,7 +311,7 @@ TEST(GcPool, TenThousandRequestSoakHeapPlateaus) {
   std::size_t peak = 0;
   constexpr std::size_t k_requests = 10'000;
   for (std::size_t i = 0; i < k_requests; ++i) {
-    core::sandbox* sb = pool.acquire(site, limits, js::engine_kind::bytecode, nullptr);
+    core::sandbox* sb = pool.acquire(site, limits, nullptr);
     if (i >= 100) {
       // Post-reclaim heap of a pooled sandbox: must hover at the live set.
       const std::size_t idle_heap = sb->heap_used();

@@ -5,9 +5,11 @@
 //   - stats totals equal between the 8-worker and 1-worker runs,
 //   - queue-full backpressure rejecting with 503,
 //   - throttling penalties enforced across workers,
-//   - and the workers=0 determinism regression: a fixed-seed sim run is
-//     byte-identical across repetitions (the oracle path the worker mode is
-//     measured against).
+//   - worker responses equal to the workers=0 sim oracle's for the same URLs,
+//   - and the workers=0 determinism regression: fixed-seed sim runs (one
+//     idle, one congested into throttling) whose digests are pinned to
+//     golden SHA-256 values (the oracle path the worker mode is measured
+//     against).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "integrity/sha256.hpp"
 #include "proxy/deployment.hpp"
 #include "sim/topology.hpp"
 
@@ -35,6 +38,22 @@ const char* k_site_script = R"JS(
   };
   p.register();
 )JS";
+
+// A site script that sub-fetches through the Fetch vocabulary: one
+// coalescible URL and one query-bearing URL (which bypasses coalescing).
+const char* k_fetcher_script = R"JS(
+  var p = new Policy();
+  p.url = [ "fetcher.org" ];
+  p.onResponse = function () {
+    var a = Fetch.fetch("http://static.org/obj/5");
+    var b = Fetch.fetch("http://static.org/uniq/sub?n=1");
+    Response.setHeader("X-Sub", a.body.toString() + "+" + b.body.toString());
+  };
+  p.register();
+)JS";
+
+// Host the serving environment's resolver knows nothing about (the 502 path).
+constexpr const char* k_unresolvable_host = "unresolvable.org";
 
 // A self-contained single-node serving environment. The sim network exists
 // only to satisfy construction; in worker mode all traffic goes through the
@@ -69,9 +88,18 @@ struct serving_env {
                               "doc-" + std::to_string(i), 3600);
     }
 
+    origin->add_static_text("static.org", "/page.nkp", "text/nkp",
+                            "Sum: <?nkp Response.write(6 * 7); ?>!", 3600);
+    origin->add_static_text("fetcher.org", "/nakika.js", "application/javascript",
+                            k_fetcher_script, 3600);
+    origin->add_static_text("fetcher.org", "/doc", "text/plain", "fetched-doc", 3600);
+
     origin_server* raw = origin.get();
     node = std::make_unique<nakika_node>(
-        *net, proxy_host, [raw](const std::string&) -> http_endpoint* { return raw; },
+        *net, proxy_host,
+        [raw](const std::string& host) -> http_endpoint* {
+          return host == k_unresolvable_host ? nullptr : raw;
+        },
         std::move(cfg));
   }
 };
@@ -263,56 +291,99 @@ http::response sim_fetch(sim::event_loop& loop, sim::network& net, sim::node_id 
   return out;
 }
 
-TEST(NodeConcurrency, WorkerResponsesMatchSimOracle) {
-  std::vector<std::string> urls;
-  for (std::size_t i = 0; i < 30; ++i) urls.push_back(url_for(i));
+// What the oracle comparison looks at: status, body, and the headers the
+// test scripts set.
+std::string response_digest(const http::response& resp) {
+  return std::to_string(resp.status) + "|" + resp.headers.get_or("X-Work", "-") + "|" +
+         resp.headers.get_or("X-Sub", "-") + "|" +
+         std::string(resp.body ? resp.body->view() : "");
+}
 
-  // Oracle: deterministic single-threaded sim path.
-  std::vector<std::pair<int, std::string>> oracle;
+// Serves `urls` through a workers=0 node on the event loop (the oracle) and
+// through a 4-worker node built from the same config, and returns the URLs
+// whose worker response differs from the oracle's.
+std::vector<std::string> worker_vs_sim_mismatches(const node_config& base,
+                                                  const std::vector<std::string>& urls) {
+  std::vector<std::string> oracle;
   {
-    node_config cfg;
-    cfg.resource_controls = false;
-    serving_env env(std::move(cfg));
+    serving_env env(base);
     const sim::node_id client = env.net->add_node("client");
     env.net->set_route(client, env.node->host(), 0.0005);
     for (const auto& url : urls) {
-      const http::response resp =
-          sim_fetch(env.loop, *env.net, client, *env.node, url);
-      oracle.emplace_back(resp.status, std::string(resp.body ? resp.body->view() : ""));
+      oracle.push_back(response_digest(sim_fetch(env.loop, *env.net, client, *env.node, url)));
     }
   }
 
-  // Worker mode must serve byte-identical bodies for the same URLs.
-  node_config cfg;
+  node_config cfg = base;
   cfg.workers = 4;
   cfg.queue_capacity = 256;
-  cfg.resource_controls = false;
   serving_env env(std::move(cfg));
-  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::string> got(urls.size());
   std::atomic<std::size_t> done_count{0};
   for (std::size_t i = 0; i < urls.size(); ++i) {
     http::request r;
     r.url = http::url::parse(urls[i]);
     r.client_ip = "10.0.0.1";
     env.node->handle(r, [&, i](http::response resp) {
-      const std::string body(resp.body ? resp.body->view() : "");
-      if (resp.status != oracle[i].first || body != oracle[i].second) {
-        mismatches.fetch_add(1);
-      }
+      got[i] = response_digest(resp);
       done_count.fetch_add(1);
     });
   }
   env.node->drain();
   EXPECT_EQ(done_count.load(), urls.size());
-  EXPECT_EQ(mismatches.load(), 0u);
+  std::vector<std::string> mismatched;
+  for (std::size_t i = 0; i < urls.size(); ++i) {
+    if (got[i] != oracle[i]) mismatched.push_back(urls[i] + ": " + got[i] + " vs " + oracle[i]);
+  }
+  return mismatched;
+}
+
+TEST(NodeConcurrency, WorkerResponsesMatchSimOracle) {
+  std::vector<std::string> urls;
+  for (std::size_t i = 0; i < 30; ++i) urls.push_back(url_for(i));
+  urls.push_back("http://static.org/page.nkp");             // Na Kika Pages render
+  urls.push_back("http://fetcher.org/doc");                  // Fetch sub-requests
+  urls.push_back(std::string("http://") + k_unresolvable_host + "/x");  // 502
+
+  node_config scripted;
+  scripted.resource_controls = false;
+  EXPECT_EQ(worker_vs_sim_mismatches(scripted, urls), std::vector<std::string>{});
+
+  // The proxy with an integrated DHT (no scripting pipeline).
+  node_config dht_only = scripted;
+  dht_only.scripting = false;
+  EXPECT_EQ(worker_vs_sim_mismatches(dht_only, urls), std::vector<std::string>{});
 }
 
 // ----- workers=0 determinism regression ----------------------------------------
 
-// Digest of a full fixed-seed sim run: every response byte plus the final
-// counter state. Two runs must agree exactly — this locks the oracle path's
-// behavior before (and after) any parallel-path change.
-std::string sim_run_digest(std::size_t shape_table_max = js::context_limits{}.shape_table_max) {
+// Inputs of one fixed-seed sim run.
+struct digest_inputs {
+  std::size_t shape_table_max = js::context_limits{}.shape_table_max;
+  double request_spacing = 0.2;  // virtual seconds between requests
+  double cpu_seconds_per_second = 0.001;
+  double bandwidth_bytes_per_second = core::resource_capacities{}.bandwidth_bytes_per_second;
+};
+
+// The default run has a tiny CPU capacity, but its requests arrive 0.2 s
+// apart, so every throttle window a CONTROL phase 1 opens is closed by its
+// phase 2 before the next request: it never throttles. This run congests
+// through bandwidth instead, whose byte counts (unlike the wall-measured
+// script CPU, lifted out of the way here) are deterministic, so admission,
+// its RNG draws and a termination are all part of the digest.
+constexpr digest_inputs k_congested{.request_spacing = 0.01,
+                                    .cpu_seconds_per_second = 1e9,
+                                    .bandwidth_bytes_per_second = 2000};
+
+struct sim_run {
+  std::string digest;
+  util::run_counters counters;
+};
+
+// A full fixed-seed sim run: every response byte plus the final counter
+// state, digested. Two runs must agree exactly, and the digests are pinned
+// (below) to what the build before the one-request-path refactor produced.
+sim_run run_sim(const digest_inputs& in = {}) {
   sim::event_loop loop;
   sim::network net{loop};
   sim::three_tier topo = sim::build_lan(net);
@@ -333,23 +404,32 @@ std::string sim_run_digest(std::size_t shape_table_max = js::context_limits{}.sh
 
   node_config cfg;
   cfg.rng_seed = 1234;
-  cfg.capacities.cpu_seconds_per_second = 0.001;  // force throttling activity
+  cfg.capacities.cpu_seconds_per_second = in.cpu_seconds_per_second;
+  cfg.capacities.bandwidth_bytes_per_second = in.bandwidth_bytes_per_second;
   cfg.control_interval = 0.05;
   cfg.control_timeout = 0.02;
-  cfg.script_limits.shape_table_max = shape_table_max;
+  cfg.script_limits.shape_table_max = in.shape_table_max;
   nakika_node& node = dep.create_node(topo.proxy, std::move(cfg));
   node.start_monitor();
 
-  std::string digest;
-  for (std::size_t i = 0; i < 300; ++i) {
+  constexpr std::size_t k_requests = 300;
+  std::vector<http::response> responses(k_requests);
+  for (std::size_t i = 0; i < k_requests; ++i) {
     http::request r;
     r.url = http::url::parse(url_for(i % 90));
     r.client_ip = "10.0.0.1";
-    http::response out;
-    forward_request(net, topo.client, node, r, [&](http::response resp) {
-      out = std::move(resp);
+    forward_request(net, topo.client, node, r, [&responses, i](http::response resp) {
+      responses[i] = std::move(resp);
     });
-    loop.run_until(loop.now() + 0.2);
+    loop.run_until(loop.now() + in.request_spacing);
+  }
+  // Responses are digested by request, not by arrival window: the node bills
+  // wall-measured script CPU in virtual time, so on a loaded host a response
+  // may land after the next request went out.
+  loop.run_until(loop.now() + 10.0);
+
+  std::string digest;
+  for (const http::response& out : responses) {
     digest += std::to_string(out.status);
     digest += '|';
     digest += out.headers.get_or("X-Work", "-");
@@ -365,15 +445,31 @@ std::string sim_run_digest(std::size_t shape_table_max = js::context_limits{}.sh
   digest += " failed=" + std::to_string(c.failed);
   digest += " terminations=" + std::to_string(node.resources().terminations());
   digest += " rejections=" + std::to_string(node.resources().throttle_rejections());
-  return digest;
+  return {std::move(digest), c};
 }
 
+// SHA-256 of the two digests as produced before the sim and worker request
+// paths were folded into one request body; any change to sim behaviour shows
+// up here, not only a change between two runs of the same build.
+constexpr const char* k_idle_digest_sha256 =
+    "ff317f7e5d7ffc95d049e25a4fd2658395f5cba4a863db6aff34fbd6ee0dd957";
+constexpr const char* k_congested_digest_sha256 =
+    "e5a9cc449bfe7a841808a734beb7bbc734160a8e799da460a741e1f069f4e045";
+
 TEST(NodeConcurrency, SimPathDeterministicWithWorkersDisabled) {
-  const std::string first = sim_run_digest();
-  const std::string second = sim_run_digest();
+  const std::string first = run_sim().digest;
+  const std::string second = run_sim().digest;
   EXPECT_EQ(first, second);
-  // The run exercised real traffic, not a degenerate empty loop.
-  EXPECT_GT(first.size(), 300u * 3u);
+  EXPECT_EQ(first.size(), 7929u);
+  EXPECT_EQ(integrity::sha256_hex(first), k_idle_digest_sha256);
+}
+
+TEST(NodeConcurrency, CongestedSimRunThrottlesDeterministically) {
+  const sim_run first = run_sim(k_congested);
+  const sim_run second = run_sim(k_congested);
+  EXPECT_EQ(first.digest, second.digest);
+  EXPECT_GT(first.counters.throttled, 0u) << "the run never exercised admission";
+  EXPECT_EQ(integrity::sha256_hex(first.digest), k_congested_digest_sha256);
 }
 
 // The shape/IC layer is an accelerator, never semantics: the same fixed-seed
@@ -381,8 +477,8 @@ TEST(NodeConcurrency, SimPathDeterministicWithWorkersDisabled) {
 // pre-shape caching behavior) must produce a byte-identical digest — every
 // response byte, billing counter, and throttle decision included.
 TEST(NodeConcurrency, ShapesOnVsOffDigestByteIdentical) {
-  const std::string shaped = sim_run_digest();
-  const std::string dictionary = sim_run_digest(/*shape_table_max=*/0);
+  const std::string shaped = run_sim().digest;
+  const std::string dictionary = run_sim({.shape_table_max = 0}).digest;
   EXPECT_EQ(shaped, dictionary);
 }
 

@@ -316,6 +316,27 @@ TEST_F(telemetry_fixture, SpanRingOverflowOnNode) {
   EXPECT_EQ(snap.span_capacity, 3u);
 }
 
+// The proxy with an integrated DHT (scripting off) is timed like any other
+// request: a span and an end-to-end latency sample per request, on the sim
+// path as in worker mode.
+TEST_F(telemetry_fixture, DhtOnlyRequestsRecordSpansAndTotals) {
+  proxy::node_config cfg;
+  cfg.scripting = false;
+  build(std::move(cfg));
+  dep->map_host("site.org", *origin);
+  origin->add_static_text("site.org", "/a", "text/plain", "A", 600);
+  EXPECT_EQ(fetch("http://site.org/a").status, 200);  // miss: origin fetch
+  EXPECT_EQ(fetch("http://site.org/a").status, 200);  // cache hit
+
+  const std::vector<obs::span_record> spans = node->recent_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_TRUE(spans[0].has(obs::span_flag::origin));
+  EXPECT_TRUE(spans[1].has(obs::span_flag::cache_hit));
+  EXPECT_EQ(spans[1].status, 200);
+  EXPECT_EQ(node->stage_latency(obs::stage::total).count, 2u);
+  EXPECT_EQ(node->counters().completed, 2u);
+}
+
 // ----- workers=0 determinism regression ----------------------------------------------
 
 std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {

@@ -695,7 +695,7 @@ TEST(ChunkCache, SharedAcrossSandboxes) {
   core::chunk_cache chunks(16);
   const std::string source = "counter = 0; onRequest = function() { counter++; };";
 
-  core::sandbox sb1(js::context_limits{}, engine_kind::bytecode);
+  core::sandbox sb1;
   sb1.set_chunk_cache(&chunks);
   core::stage_load_stats stats1;
   sb1.load_stage("http://site-a/nakika.js", source, 1, &stats1);
@@ -703,7 +703,7 @@ TEST(ChunkCache, SharedAcrossSandboxes) {
   EXPECT_GT(stats1.parse_seconds + stats1.compile_seconds, 0.0);
 
   // A different sandbox, different URL, same content: compile is skipped.
-  core::sandbox sb2(js::context_limits{}, engine_kind::bytecode);
+  core::sandbox sb2;
   sb2.set_chunk_cache(&chunks);
   core::stage_load_stats stats2;
   sb2.load_stage("http://site-b/nakika.js", source, 7, &stats2);
@@ -716,7 +716,7 @@ TEST(ChunkCache, SharedAcrossSandboxes) {
 
 TEST(ChunkCache, PerSandboxStageCacheStillWins) {
   core::chunk_cache chunks(16);
-  core::sandbox sb(js::context_limits{}, engine_kind::bytecode);
+  core::sandbox sb;
   sb.set_chunk_cache(&chunks);
   core::stage_load_stats stats;
   sb.load_stage("http://s/nakika.js", "x = 1;", 3, &stats);
@@ -724,17 +724,6 @@ TEST(ChunkCache, PerSandboxStageCacheStillWins) {
   core::stage_load_stats again;
   sb.load_stage("http://s/nakika.js", "x = 1;", 3, &again);
   EXPECT_TRUE(again.from_cache);
-}
-
-TEST(ChunkCache, TreeWalkerEngineIgnoresChunkCache) {
-  core::chunk_cache chunks(16);
-  core::sandbox sb(js::context_limits{}, engine_kind::tree_walker);
-  sb.set_chunk_cache(&chunks);
-  core::stage_load_stats stats;
-  sb.load_stage("http://s/nakika.js", "y = 2;", 1, &stats);
-  EXPECT_FALSE(stats.chunk_cache_hit);
-  EXPECT_EQ(chunks.size(), 0u);
-  EXPECT_EQ(sb.ctx().global()->get("y").to_number(), 2.0);
 }
 
 // ----- shapes + polymorphic inline caches --------------------------------------
