@@ -1,9 +1,12 @@
 // End-to-end requests/sec of a Na Kika node in worker mode at 1/2/4/8
-// workers, over three workloads:
+// workers, over four workloads:
 //   cache-hit     every request served from the sharded content cache
 //   script-heavy  every request runs the site's onResponse handler (VM)
 //   pages         every request renders an .nkp page (uncacheable, so each
 //                 one compiles + executes the page policy)
+//   simm-edge     every request is a personalized SIMM page (paper §5.2):
+//                 the origin returns XML and the site script renders it to
+//                 HTML with XmlTransformer (stylesheet from the cache)
 // Reports aggregate req/s, speedup vs one worker, and the node's own
 // telemetry percentiles (p50/p99/p999 end-to-end latency from the span
 // histograms). Speedup is only meaningful on multi-core runners; on a single
@@ -32,19 +35,23 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proxy/deployment.hpp"
+#include "workload/simm.hpp"
 
 namespace nakika {
 namespace {
 
 constexpr std::size_t k_hot_urls = 256;
 
+enum class load { cache_hit, script_heavy, pages, simm_edge };
+
 struct bench_env {
   sim::event_loop loop;
   std::unique_ptr<sim::network> net;
+  workload::simm_site simm;  // outlives the origin handlers that use it
   std::unique_ptr<proxy::origin_server> origin;
   std::unique_ptr<proxy::nakika_node> node;
 
-  explicit bench_env(std::size_t workers, std::size_t queue_capacity, bool telemetry = true) {
+  bench_env(load w, std::size_t workers, std::size_t queue_capacity, bool telemetry) {
     net = std::make_unique<sim::network>(loop);
     const sim::node_id origin_host = net->add_node("origin");
     const sim::node_id proxy_host = net->add_node("proxy");
@@ -81,6 +88,9 @@ struct bench_env {
       out.response.headers.set("Cache-Control", "no-store");
       return out;
     });
+    // The SIMM site's media alone is tens of MB, so only its workload pays
+    // for it.
+    if (w == load::simm_edge) simm.install_edge(*origin);
 
     proxy::node_config cfg;
     cfg.workers = workers;
@@ -95,18 +105,29 @@ struct bench_env {
   }
 };
 
-enum class workload { cache_hit, script_heavy, pages };
-
-std::string url_for(workload w, std::size_t i) {
+std::string url_for(load w, std::size_t i) {
   switch (w) {
-    case workload::cache_hit:
+    case load::cache_hit:
       return "http://hot.org/obj/" + std::to_string(i % k_hot_urls);
-    case workload::script_heavy:
+    case load::script_heavy:
       return "http://scripted.org/doc/" + std::to_string(i % k_hot_urls);
-    case workload::pages:
+    case load::pages:
       return "http://pages.org/page";
+    case load::simm_edge: {
+      const std::size_t k = i % k_hot_urls;
+      return std::string("http://") + workload::simm_site::host_name + "/content/m" +
+             std::to_string(k % 5) + "/p" + std::to_string(k / 5 % 40) +
+             ".xml?student=s" + std::to_string(k % 3);
+    }
   }
   return "";
+}
+
+// A 200, and for SIMM pages the rendered HTML rather than the origin's XML.
+bool response_ok(load w, const http::response& resp) {
+  if (resp.status != 200) return false;
+  return w != load::simm_edge ||
+         (resp.body && resp.body->view().find("<h1>") != std::string_view::npos);
 }
 
 // Submits `total` requests with a bounded in-flight window (so the bench
@@ -114,10 +135,10 @@ std::string url_for(workload w, std::size_t i) {
 // aggregate requests/sec. `ok` counts verified-correct responses;
 // `counters_out` (optional) receives the node's final counter snapshot so
 // the harness can report single-flight coalescing.
-double run_workload(workload w, std::size_t workers, std::size_t total, std::size_t* ok,
+double run_workload(load w, std::size_t workers, std::size_t total, std::size_t* ok,
                     util::run_counters* counters_out = nullptr,
                     obs::histogram_summary* latency_out = nullptr, bool telemetry = true) {
-  bench_env env(workers, /*queue_capacity=*/512, telemetry);
+  bench_env env(w, workers, /*queue_capacity=*/512, telemetry);
 
   // Warm: populate the cache (cache-hit) and the script/chunk caches.
   {
@@ -143,7 +164,7 @@ double run_workload(workload w, std::size_t workers, std::size_t total, std::siz
     r.url = http::url::parse(url_for(w, i));
     r.client_ip = "10.0.0.1";
     env.node->handle(r, [&](http::response resp) {
-      if (resp.status == 200) good.fetch_add(1, std::memory_order_relaxed);
+      if (response_ok(w, resp)) good.fetch_add(1, std::memory_order_relaxed);
       done.fetch_add(1, std::memory_order_release);
     });
   }
@@ -162,9 +183,9 @@ double telemetry_overhead_ratio(std::size_t workers, std::size_t total, int reps
   double best_on = 0.0;
   for (int i = 0; i < reps; ++i) {
     std::size_t ok = 0;
-    best_off = std::max(best_off, run_workload(workload::cache_hit, workers, total, &ok,
+    best_off = std::max(best_off, run_workload(load::cache_hit, workers, total, &ok,
                                                nullptr, nullptr, /*telemetry=*/false));
-    best_on = std::max(best_on, run_workload(workload::cache_hit, workers, total, &ok,
+    best_on = std::max(best_on, run_workload(load::cache_hit, workers, total, &ok,
                                              nullptr, nullptr, /*telemetry=*/true));
   }
   std::printf("cache-hit req/s: telemetry off %.0f, on %.0f (best of %d)\n", best_off,
@@ -179,8 +200,8 @@ double scaling_speedup(std::size_t total, int reps) {
   double best_4 = 0.0;
   for (int i = 0; i < reps; ++i) {
     std::size_t ok = 0;
-    best_1 = std::max(best_1, run_workload(workload::cache_hit, 1, total, &ok));
-    best_4 = std::max(best_4, run_workload(workload::cache_hit, 4, total, &ok));
+    best_1 = std::max(best_1, run_workload(load::cache_hit, 1, total, &ok));
+    best_4 = std::max(best_4, run_workload(load::cache_hit, 4, total, &ok));
   }
   std::printf("cache-hit req/s: 1 worker %.0f, 4 workers %.0f (best of %d)\n", best_1,
               best_4, reps);
@@ -235,14 +256,15 @@ int main(int argc, char** argv) {
 
   struct spec {
     const char* name;
-    workload w;
+    load w;
     std::size_t total;
     std::size_t smoke_total;
   };
   const spec specs[] = {
-      {"cache-hit", workload::cache_hit, 40'000, 1'000},
-      {"script-heavy", workload::script_heavy, 8'000, 500},
-      {"pages", workload::pages, 4'000, 300},
+      {"cache-hit", load::cache_hit, 40'000, 1'000},
+      {"script-heavy", load::script_heavy, 8'000, 500},
+      {"pages", load::pages, 4'000, 300},
+      {"simm-edge", load::simm_edge, 20'000, 300},
   };
   const std::size_t worker_counts[] = {1, 2, 4, 8};
 
@@ -278,7 +300,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!all_ok) {
-    std::printf("\nFAIL: some responses were not 200\n");
+    std::printf("\nFAIL: some responses were not 200 or not rendered\n");
     return 1;
   }
   std::printf("\nall responses verified\n");

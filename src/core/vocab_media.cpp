@@ -2,6 +2,8 @@
 // (the SIMM XML→HTML rendering off-loaded to the edge, paper §5.2). The
 // image operations charge interpreter ops proportional to pixels touched so
 // the resource manager sees transcoding as CPU work.
+#include <optional>
+
 #include "core/vocabulary.hpp"
 #include "js/stdlib.hpp"
 #include "media/image.hpp"
@@ -94,21 +96,37 @@ void install_media_vocabulary(js::context& ctx, exec_binding_ptr binding) {
   ctx.global()->set("ImageTransformer", value::object(transformer));
 
   auto xml = js::make_plain_object();
-  // render(documentXml, stylesheetXml) -> string
-  xml->set("render", value::object(make_native_function(
-                         "render", [](js::interpreter& in, const value&,
-                                      std::span<value> args) -> value {
-                           const std::string doc = require_string(args, 0, "render");
-                           const std::string sheet = require_string(args, 1, "render");
-                           try {
-                             std::string out = media::xsl_transform(sheet, doc);
-                             in.ctx().charge_transient(out.size());
-                             in.ctx().add_ops(doc.size() / 16 + 1, 0);
-                             return value::string(std::move(out));
-                           } catch (const std::invalid_argument& e) {
-                             throw_js(std::string("XmlTransformer.render: ") + e.what());
-                           }
-                         })));
+  // render(documentXml, stylesheetXml) -> string. A site renders every page
+  // with the same stylesheet, so the last one compiled is kept, keyed by its
+  // exact text. The memo belongs to this sandbox's function object: it is
+  // freed with the sandbox and, like the sandbox, used by one thread and one
+  // site at a time, so it takes no lock. A stylesheet that fails to compile
+  // is not kept.
+  struct stylesheet_memo {
+    std::string source;
+    std::optional<media::xsl_stylesheet> sheet;
+  };
+  auto memo = std::make_shared<stylesheet_memo>();
+  xml->set("render",
+           value::object(make_native_function(
+               "render", [memo](js::interpreter& in, const value&,
+                                std::span<value> args) -> value {
+                 const std::string& doc = require_string(args, 0, "render");
+                 const std::string& sheet = require_string(args, 1, "render");
+                 try {
+                   if (!memo->sheet || memo->source != sheet) {
+                     media::xsl_stylesheet compiled = media::xsl_stylesheet::parse(sheet);
+                     memo->source = sheet;
+                     memo->sheet = std::move(compiled);
+                   }
+                   std::string out = memo->sheet->apply(*media::parse_xml(doc));
+                   in.ctx().charge_transient(out.size());
+                   in.ctx().add_ops(doc.size() / 16 + 1, 0);
+                   return value::string(std::move(out));
+                 } catch (const std::invalid_argument& e) {
+                   throw_js(std::string("XmlTransformer.render: ") + e.what());
+                 }
+               })));
   // parse-and-reserialize round trip, for scripts that only restructure
   xml->set("canonicalize",
            value::object(make_native_function(

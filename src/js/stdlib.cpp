@@ -17,7 +17,7 @@ value arg_or_undefined(std::span<value> args, std::size_t i) {
 
 void throw_js(const std::string& message) { throw thrown_value{value::string(message)}; }
 
-std::string require_string(std::span<value> args, std::size_t i, const char* who) {
+const std::string& require_string(std::span<value> args, std::size_t i, const char* who) {
   if (i >= args.size() || !args[i].is_string()) {
     throw_js(std::string(who) + ": argument " + std::to_string(i + 1) + " must be a string");
   }

@@ -22,9 +22,10 @@ void install_stdlib(context& ctx);
 [[nodiscard]] value arg_or_undefined(std::span<value> args, std::size_t i);
 // Throws a script-catchable error with the given message.
 [[noreturn]] void throw_js(const std::string& message);
-// Requires a string argument; throws (catchable) otherwise.
-[[nodiscard]] std::string require_string(std::span<value> args, std::size_t i,
-                                         const char* who);
+// Requires a string argument and returns it (valid as long as `args` is);
+// throws (catchable) otherwise.
+[[nodiscard]] const std::string& require_string(std::span<value> args, std::size_t i,
+                                                const char* who);
 [[nodiscard]] double require_number(std::span<value> args, std::size_t i, const char* who);
 
 // JSON (subset) conversion used both by the JSON global and the hard-state

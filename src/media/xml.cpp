@@ -1,6 +1,10 @@
 #include "media/xml.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace nakika::media {
@@ -36,13 +40,45 @@ std::string xml_node::inner_text() const {
 
 namespace {
 
+constexpr std::string_view k_space = " \t\r\n";
+
+// Bytes append_xml_escaped replaces; everything else is copied in runs.
+constexpr std::array<bool, 256> k_needs_escape = [] {
+  std::array<bool, 256> t{};
+  for (const unsigned char c : {'&', '<', '>', '"', '\''}) t[c] = true;
+  return t;
+}();
+
+// Whether any of the 8 bytes in `w` needs escaping: the classic has-zero-byte
+// test on `w` XOR each special byte. Plain text is skipped a word at a time;
+// on SIMM pages a per-byte table scan made apply() about twice as slow.
+bool word_needs_escape(std::uint64_t w) {
+  constexpr std::uint64_t ones = 0x0101010101010101ull;
+  std::uint64_t zero_bytes = 0;
+  for (const unsigned char c : {'&', '<', '>', '"', '\''}) {
+    const std::uint64_t x = w ^ (ones * c);
+    zero_bytes |= (x - ones) & ~x;
+  }
+  return (zero_bytes & (ones << 7)) != 0;
+}
+
+// Bytes of an element or attribute name (ASCII letters and digits, _ - : .).
+constexpr std::array<bool, 256> k_name_char = [] {
+  std::array<bool, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    t[c] = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+           c == '_' || c == '-' || c == ':' || c == '.';
+  }
+  return t;
+}();
+
 class xml_parser {
  public:
   explicit xml_parser(std::string_view src) : src_(src) {}
 
   xml_node_ptr parse() {
     skip_prolog();
-    auto root = parse_element();
+    auto root = parse_element(1);
     skip_ws_and_comments();
     if (pos_ != src_.size()) fail("trailing content after root element");
     return root;
@@ -86,29 +122,27 @@ class xml_parser {
     skip_ws_and_comments();
   }
 
-  std::string parse_name() {
+  std::string_view parse_name() {
     const std::size_t start = pos_;
-    while (pos_ < src_.size() &&
-           (std::isalnum(static_cast<unsigned char>(src_[pos_])) || src_[pos_] == '_' ||
-            src_[pos_] == '-' || src_[pos_] == ':' || src_[pos_] == '.')) {
-      ++pos_;
-    }
+    while (pos_ < src_.size() && k_name_char[static_cast<unsigned char>(src_[pos_])]) ++pos_;
     if (pos_ == start) fail("expected a name");
-    return std::string(src_.substr(start, pos_ - start));
+    return src_.substr(start, pos_ - start);
   }
 
-  std::string decode_entities(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
+  // Appends `raw` to `out` with entity references decoded; the runs between
+  // references are copied whole.
+  void decode_entities(std::string_view raw, std::string& out) {
     std::size_t i = 0;
-    while (i < raw.size()) {
-      if (raw[i] != '&') {
-        out.push_back(raw[i++]);
-        continue;
+    while (true) {
+      const std::size_t amp = raw.find('&', i);
+      if (amp == std::string_view::npos) {
+        out.append(raw.substr(i));
+        return;
       }
-      const std::size_t semi = raw.find(';', i);
+      out.append(raw.substr(i, amp - i));
+      const std::size_t semi = raw.find(';', amp);
       if (semi == std::string_view::npos) fail("unterminated entity");
-      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
+      const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
       if (entity == "amp") {
         out.push_back('&');
       } else if (entity == "lt") {
@@ -128,11 +162,13 @@ class xml_parser {
       }
       i = semi + 1;
     }
-    return out;
   }
 
-  xml_node_ptr parse_element() {
+  // `depth` is the nesting level of the element starting at pos_ (the root
+  // is 1); recursion stops at max_xml_depth.
+  xml_node_ptr parse_element(std::size_t depth) {
     if (pos_ >= src_.size() || src_[pos_] != '<') fail("expected '<'");
+    if (depth > max_xml_depth) fail("nesting deeper than " + std::to_string(max_xml_depth));
     ++pos_;
     auto node = std::make_unique<xml_node>();
     node->name = parse_name();
@@ -149,7 +185,7 @@ class xml_parser {
         pos_ += 2;
         return node;  // self-closing
       }
-      std::string attr_name = parse_name();
+      std::string attr_name(parse_name());
       skip_ws();
       if (pos_ >= src_.size() || src_[pos_] != '=') fail("expected '=' after attribute name");
       ++pos_;
@@ -160,8 +196,9 @@ class xml_parser {
       const char quote = src_[pos_++];
       const std::size_t val_end = src_.find(quote, pos_);
       if (val_end == std::string_view::npos) fail("unterminated attribute value");
-      node->attrs.emplace_back(std::move(attr_name),
-                               decode_entities(src_.substr(pos_, val_end - pos_)));
+      std::string attr_value;
+      decode_entities(src_.substr(pos_, val_end - pos_), attr_value);
+      node->attrs.emplace_back(std::move(attr_name), std::move(attr_value));
       pos_ = val_end + 1;
     }
 
@@ -170,9 +207,9 @@ class xml_parser {
       if (pos_ >= src_.size()) fail("unterminated element <" + node->name + ">");
       if (src_.substr(pos_).starts_with("</")) {
         pos_ += 2;
-        const std::string closing = parse_name();
+        const std::string_view closing = parse_name();
         if (closing != node->name) {
-          fail("mismatched end tag </" + closing + "> for <" + node->name + ">");
+          fail("mismatched end tag </" + std::string(closing) + "> for <" + node->name + ">");
         }
         skip_ws();
         if (pos_ >= src_.size() || src_[pos_] != '>') fail("malformed end tag");
@@ -196,18 +233,24 @@ class xml_parser {
         continue;
       }
       if (src_[pos_] == '<') {
-        node->children.push_back(parse_element());
+        node->children.push_back(parse_element(depth + 1));
         continue;
       }
       const std::size_t text_end = src_.find('<', pos_);
       if (text_end == std::string_view::npos) fail("unterminated element content");
-      const std::string decoded = decode_entities(src_.substr(pos_, text_end - pos_));
+      // Whitespace-only runs between elements are skipped, before or (for
+      // character references such as &#32;) after decoding.
+      const std::string_view raw = src_.substr(pos_, text_end - pos_);
+      if (raw.find_first_not_of(k_space) == std::string_view::npos) {
+        pos_ = text_end;
+        continue;
+      }
+      auto text_node = std::make_unique<xml_node>();
+      text_node->k = xml_node::kind::text;
+      text_node->text.reserve(raw.size());
+      decode_entities(raw, text_node->text);
       pos_ = text_end;
-      // Skip whitespace-only runs between elements.
-      if (decoded.find_first_not_of(" \t\r\n") != std::string::npos) {
-        auto text_node = std::make_unique<xml_node>();
-        text_node->k = xml_node::kind::text;
-        text_node->text = decoded;
+      if (text_node->text.find_first_not_of(k_space) != std::string::npos) {
         node->children.push_back(std::move(text_node));
       }
     }
@@ -219,20 +262,19 @@ class xml_parser {
 
 void serialize_into(std::string& out, const xml_node& node) {
   if (node.k == xml_node::kind::text) {
-    out += xml_escape(node.text);
+    append_xml_escaped(out, node.text);
     return;
   }
-  out += "<" + node.name;
-  for (const auto& [k, v] : node.attrs) {
-    out += " " + k + "=\"" + xml_escape(v) + "\"";
-  }
+  append_open_tag(out, node);
   if (node.children.empty()) {
     out += "/>";
     return;
   }
-  out += ">";
+  out += '>';
   for (const auto& c : node.children) serialize_into(out, *c);
-  out += "</" + node.name + ">";
+  out += "</";
+  out += node.name;
+  out += '>';
 }
 
 }  // namespace
@@ -245,20 +287,44 @@ std::string serialize_xml(const xml_node& node) {
   return out;
 }
 
-std::string xml_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out.push_back(c);
+void append_open_tag(std::string& out, const xml_node& element) {
+  out += '<';
+  out += element.name;
+  for (const auto& [k, v] : element.attrs) {
+    out += ' ';
+    out += k;
+    out += "=\"";
+    append_xml_escaped(out, v);
+    out += '"';
+  }
+}
+
+void append_xml_escaped(std::string& out, std::string_view text) {
+  std::size_t run = 0;  // start of the bytes not yet appended
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (i + 8 <= text.size()) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, text.data() + i, 8);
+      if (!word_needs_escape(w)) {
+        i += 8;
+        continue;
+      }
+    }
+    for (const std::size_t stop = std::min(i + 8, text.size()); i < stop; ++i) {
+      if (!k_needs_escape[static_cast<unsigned char>(text[i])]) continue;
+      out.append(text, run, i - run);
+      switch (text[i]) {
+        case '&': out += "&amp;"; break;
+        case '<': out += "&lt;"; break;
+        case '>': out += "&gt;"; break;
+        case '"': out += "&quot;"; break;
+        default: out += "&apos;"; break;
+      }
+      run = i + 1;
     }
   }
-  return out;
+  out.append(text, run);
 }
 
 }  // namespace nakika::media

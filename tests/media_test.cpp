@@ -174,6 +174,66 @@ TEST(Xml, ChildQueries) {
   EXPECT_EQ(root->child("missing"), nullptr);
 }
 
+TEST(Xml, NestingIsBounded) {
+  const auto nested = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
+    return doc;
+  };
+  EXPECT_NO_THROW((void)parse_xml(nested(max_xml_depth)));
+  EXPECT_THROW((void)parse_xml(nested(max_xml_depth + 1)), std::invalid_argument);
+  // Deep enough to overflow a thread stack if parsing, destruction or
+  // rendering recursed once per level.
+  try {
+    (void)parse_xml(nested(100'000));
+    FAIL() << "a 100,000-deep document parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "xml: nesting deeper than 256 (offset 768)");
+  }
+}
+
+TEST(Xml, EscapesAllFiveCharactersInRuns) {
+  const auto escaped = [](std::string_view text) {
+    std::string out = "[";
+    append_xml_escaped(out, text);
+    return out;
+  };
+  EXPECT_EQ(escaped("plain"), "[plain");
+  EXPECT_EQ(escaped("a&b<c>d\"e'f"), "[a&amp;b&lt;c&gt;d&quot;e&apos;f");
+  EXPECT_EQ(escaped("<<&&"), "[&lt;&lt;&amp;&amp;");
+  EXPECT_EQ(escaped("'y'"), "[&apos;y&apos;");
+  // Every special byte at every offset of a text spanning several 8-byte
+  // words, against a byte-at-a-time reference.
+  for (const char special : std::string_view("&<>\"'")) {
+    for (std::size_t at = 0; at < 24; ++at) {
+      std::string text(24, 'x');
+      text[at] = special;
+      text[23 - at] = special;
+      std::string expected = "[";
+      for (const char c : text) {
+        switch (c) {
+          case '&': expected += "&amp;"; break;
+          case '<': expected += "&lt;"; break;
+          case '>': expected += "&gt;"; break;
+          case '"': expected += "&quot;"; break;
+          case '\'': expected += "&apos;"; break;
+          default: expected += c;
+        }
+      }
+      EXPECT_EQ(escaped(text), expected) << "special " << special << " at " << at;
+    }
+  }
+}
+
+TEST(Xml, DecodesEntitiesBetweenRunsAndDropsWhitespaceText) {
+  const auto root = parse_xml("<r a='1&amp;2&lt;3'>  <s>x&amp;&amp;y</s> &#32; <t>z</t></r>");
+  EXPECT_EQ(*root->attr("a"), "1&2<3");
+  // "  " and " &#32; " are whitespace-only (the latter once decoded).
+  ASSERT_EQ(root->children.size(), 2u);
+  EXPECT_EQ(root->children[0]->inner_text(), "x&&y");
+}
+
 // ----- xsl ----------------------------------------------------------------------
 
 TEST(Xsl, ValueOfAndForEach) {
@@ -230,6 +290,88 @@ TEST(Xsl, RejectsInvalidStylesheets) {
     <xsl:template match="d"><xsl:choose/></xsl:template>
   </xsl:stylesheet>)";
   EXPECT_THROW(xsl_transform(unsupported, "<d/>"), std::invalid_argument);
+}
+
+TEST(Xsl, DeeplyNestedStylesheetIsRejected) {
+  std::string body;
+  for (int i = 0; i < 100'000; ++i) body += "<p>";
+  for (int i = 0; i < 100'000; ++i) body += "</p>";
+  const std::string sheet = "<xsl:stylesheet version=\"1.0\"><xsl:template match=\"d\">" +
+                            body + "</xsl:template></xsl:stylesheet>";
+  EXPECT_THROW((void)xsl_stylesheet::parse(sheet), std::invalid_argument);
+  EXPECT_THROW((void)xsl_transform(sheet, "<d/>"), std::invalid_argument);
+  std::string deep_doc;
+  for (int i = 0; i < 100'000; ++i) deep_doc += "<d>";
+  EXPECT_THROW((void)xsl_transform("<xsl:stylesheet version=\"1.0\"><xsl:template "
+                                   "match=\"d\"><xsl:apply-templates/></xsl:template>"
+                                   "</xsl:stylesheet>",
+                                   deep_doc),
+               std::invalid_argument);
+}
+
+// Body errors are compiled into ops that throw only when rendering reaches
+// them, exactly as the body would have failed while being walked.
+TEST(Xsl, BodyErrorsThrowOnlyWhenReached) {
+  const char* missing_select = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="d">ok</xsl:template>
+    <xsl:template match="e"><xsl:value-of/></xsl:template>
+  </xsl:stylesheet>)";
+  const xsl_stylesheet sheet = xsl_stylesheet::parse(missing_select);
+  EXPECT_EQ(sheet.apply(*parse_xml("<d/>")), "ok");
+  try {
+    (void)sheet.apply(*parse_xml("<e/>"));
+    FAIL() << "value-of without select rendered";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "xsl:value-of without select");
+  }
+
+  const char* unsupported_in_loop = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="d">[<xsl:for-each select="none"><xsl:choose/></xsl:for-each>]</xsl:template>
+  </xsl:stylesheet>)";
+  EXPECT_EQ(xsl_transform(unsupported_in_loop, "<d><x/></d>"), "[]");
+  EXPECT_THROW((void)xsl_transform(unsupported_in_loop, "<d><none/></d>"),
+               std::invalid_argument);
+  const char* for_each_without_select = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="d">x<xsl:for-each>y</xsl:for-each></xsl:template>
+  </xsl:stylesheet>)";
+  EXPECT_EQ(xsl_transform(for_each_without_select, "<e/>"), "");
+  EXPECT_THROW((void)xsl_transform(for_each_without_select, "<d/>"), std::invalid_argument);
+}
+
+TEST(Xsl, BuiltInRuleCopiesTextUnescaped) {
+  const char* sheet = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="b"><i><xsl:value-of select="."/></i></xsl:template>
+  </xsl:stylesheet>)";
+  // Text reached through the built-in rule is copied as decoded; value-of
+  // output is escaped.
+  EXPECT_EQ(xsl_transform(sheet, "<r>a &lt; c<b>x &amp; y</b></r>"), "a < c<i>x &amp; y</i>");
+}
+
+TEST(Xsl, SelectPathForms) {
+  const char* sheet = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="doc">[<xsl:value-of select="."/>]<xsl:value-of select="@id"/>|<xsl:value-of select="m/t"/>|<xsl:value-of select="m/@k"/>|<xsl:value-of select="m/@missing"/>|<xsl:value-of select="nope/t"/>|<xsl:for-each select="m/t"><xsl:value-of select="."/>;</xsl:for-each>|<xsl:for-each select="."><xsl:value-of select="@k"/></xsl:for-each></xsl:template>
+  </xsl:stylesheet>)";
+  const char* doc = R"(<doc id="7&amp;"><m k="v&lt;"><t>one</t><t>two</t></m><n k="w"/></doc>)";
+  EXPECT_EQ(xsl_transform(sheet, doc), "[onetwo]7&amp;|one|v&lt;|||one;two;|v&lt;w");
+}
+
+TEST(Xsl, RootRuleAppliesToTheDocumentElement) {
+  const char* sheet = R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="doc">never</xsl:template>
+    <xsl:template match="/"><out a="&quot;"><xsl:apply-templates select="sec"/></out></xsl:template>
+    <xsl:template match="sec">(<xsl:value-of select="."/>)</xsl:template>
+  </xsl:stylesheet>)";
+  EXPECT_EQ(xsl_transform(sheet, "<doc><sec>1</sec><x/><sec>2</sec></doc>"),
+            "<out a=\"&quot;\">(1)(2)</out>");
+}
+
+TEST(Xsl, CompiledSheetIsReusableAcrossDocuments) {
+  const xsl_stylesheet sheet = xsl_stylesheet::parse(R"(<xsl:stylesheet version="1.0">
+    <xsl:template match="d"><b><xsl:value-of select="."/></b></xsl:template>
+  </xsl:stylesheet>)");
+  EXPECT_EQ(sheet.template_count(), 1u);
+  EXPECT_EQ(sheet.apply(*parse_xml("<d>1</d>")), "<b>1</b>");
+  EXPECT_EQ(sheet.apply(*parse_xml("<d>2</d>")), "<b>2</b>");
 }
 
 TEST(Xsl, BuiltInRuleRecursesUnmatched) {

@@ -7,6 +7,7 @@
 #include "core/pipeline.hpp"
 #include "js/parser.hpp"
 #include "media/image.hpp"
+#include "workload/simm.hpp"
 
 namespace nakika::core {
 namespace {
@@ -106,6 +107,98 @@ TEST(VocabXml, RenderFromScript) {
   EXPECT_EQ(global_str(sb, "html"), "<b>text</b>");
   EXPECT_EQ(global_str(sb, "canonical"), "<a x=\"1\"><b/></a>");
   EXPECT_EQ(global_str(sb, "caught"), "yes");
+}
+
+// Calls XmlTransformer.render(doc, sheet) directly; returns the rendered
+// string or the uncaught script error's message.
+std::string render_in(sandbox& sb, const std::string& doc, const std::string& sheet) {
+  const js::value render =
+      sb.ctx().global()->get("XmlTransformer").as_object()->get("render");
+  js::interpreter in(sb.ctx());
+  try {
+    return in.call(render, js::value::undefined(),
+                   {js::value::string(doc), js::value::string(sheet)})
+        .as_string();
+  } catch (const js::script_error& e) {
+    return e.what();
+  }
+}
+
+std::string one_template_sheet(const std::string& body) {
+  return "<xsl:stylesheet version=\"1.0\"><xsl:template match=\"d\">" + body +
+         "</xsl:template></xsl:stylesheet>";
+}
+
+TEST(VocabXml, StylesheetMemoFollowsTheSheetPassedIn) {
+  sandbox sb;
+  sb.begin_run();
+  const std::string a = one_template_sheet("A<xsl:value-of select=\".\"/>");
+  const std::string b = one_template_sheet("B<xsl:value-of select=\"@k\"/>");
+  EXPECT_EQ(render_in(sb, "<d k='2'>1</d>", a), "A1");
+  EXPECT_EQ(render_in(sb, "<d k='2'>1</d>", b), "B2");
+  EXPECT_EQ(render_in(sb, "<d k='2'>3</d>", a), "A3");
+  // Same length, one byte apart: the key is the whole text.
+  const std::string a2 = one_template_sheet("Z<xsl:value-of select=\".\"/>");
+  EXPECT_EQ(render_in(sb, "<d>4</d>", a2), "Z4");
+  EXPECT_EQ(render_in(sb, "<d>5</d>", a), "A5");
+}
+
+TEST(VocabXml, MalformedStylesheetFailsEveryCallAndIsNotKept) {
+  sandbox sb;
+  sb.begin_run();
+  const std::string good = one_template_sheet("ok");
+  const std::string bad = "<xsl:stylesheet version=\"1.0\"><xsl:template>";
+  const std::string expected =
+      "uncaught exception: XmlTransformer.render: xml: unterminated element "
+      "<xsl:template> (offset 44)";
+  EXPECT_EQ(render_in(sb, "<d/>", bad), expected);
+  EXPECT_EQ(render_in(sb, "<d/>", bad), expected);
+  EXPECT_EQ(render_in(sb, "<d/>", good), "ok");
+  EXPECT_EQ(render_in(sb, "<d/>", bad), expected);
+  // A failed compile leaves the kept sheet usable.
+  EXPECT_EQ(render_in(sb, "<d/>", good), "ok");
+  // Body errors stay runtime errors, on a kept sheet as on a fresh one.
+  const std::string no_select = one_template_sheet("<xsl:value-of/>");
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(render_in(sb, "<d/>", no_select),
+              "uncaught exception: XmlTransformer.render: xsl:value-of without select");
+  }
+}
+
+TEST(VocabXml, RenderChargesFuelPerDocumentByte) {
+  // One op per 16 document bytes plus one, and the output as transient
+  // allocation: the charge does not depend on whether the sheet was kept.
+  sandbox sb;
+  sb.begin_run();
+  const workload::simm_site site;
+  const std::string doc = site.page_xml(1, 2, "student=s0");
+  ASSERT_EQ(doc.size(), 5'849u);
+  for (int i = 0; i < 2; ++i) {
+    const std::uint64_t ops = sb.ctx().ops_used();
+    const std::size_t transient = sb.ctx().transient_used();
+    const std::string html = render_in(sb, doc, workload::simm_site::stylesheet());
+    EXPECT_EQ(html.size(), 5'808u);
+    EXPECT_EQ(sb.ctx().ops_used() - ops, 366u);
+    EXPECT_EQ(sb.ctx().transient_used() - transient, 5'808u);
+  }
+}
+
+TEST(VocabXml, DeepDocumentIsACatchableError) {
+  sandbox sb;
+  exec_state exec;
+  std::string deep;
+  for (int i = 0; i < 100'000; ++i) deep += "<a>";
+  sb.ctx().global()->set("deep", js::value::string(deep));
+  run_with_exec(sb, exec, R"JS(
+    function main() {
+      var xsl = '<xsl:stylesheet version="1.0">' +
+        '<xsl:template match="a"><xsl:apply-templates/></xsl:template></xsl:stylesheet>';
+      caught = "no";
+      try { XmlTransformer.render(deep, xsl); } catch (e) { caught = e; }
+    }
+  )JS");
+  EXPECT_EQ(global_str(sb, "caught"),
+            "XmlTransformer.render: xml: nesting deeper than 256 (offset 768)");
 }
 
 TEST(VocabCache, PutGetRemoveFromScript) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "integrity/sha256.hpp"
 #include "js/parser.hpp"
 #include "media/xsl.hpp"
 #include "sim/topology.hpp"
@@ -60,6 +61,26 @@ TEST(SimmSite, StylesheetRendersPages) {
   EXPECT_NE(html.find("<html>"), std::string::npos);
   EXPECT_NE(html.find("class=\"section\""), std::string::npos);
   EXPECT_NE(html.find("Module 0"), std::string::npos);
+}
+
+// Every SIMM page (5 modules x 40 pages x 3 students, with the student
+// query as the generator sends it), rendered with the site stylesheet and
+// concatenated. The hash was taken from the tree-walking transformer that
+// preceded the compiled one, so it pins the rendered bytes.
+TEST(SimmSite, RenderedPagesMatchGoldenHash) {
+  const simm_site site;
+  const std::string sheet = simm_site::stylesheet();
+  std::string all;
+  for (int m = 0; m < 5; ++m) {
+    for (int p = 0; p < 40; ++p) {
+      for (int s = 0; s < 3; ++s) {
+        all += media::xsl_transform(sheet, site.page_xml(m, p, "student=s" + std::to_string(s)));
+      }
+    }
+  }
+  EXPECT_EQ(all.size(), 3'468'697u);
+  EXPECT_EQ(integrity::sha256_hex(all),
+            "1f9af496829a569332f137583d248673ebdcd8278bc6bb12a03b5018a194de0a");
 }
 
 TEST(SimmSite, NakikaScriptParses) {
